@@ -56,8 +56,8 @@ def _cmd_oracle(args) -> int:
     mdp = build_environment(args.environment)
     cfg = ExperimentConfig(environment=args.environment)
     target, _ = make_policies(mdp, cfg, args.seed)
-    value = average_reward(mdp, target)
     dist = stationary_distribution(mdp, target)
+    value = average_reward(mdp, target, dist=dist)
     print(f"environment = {args.environment}")
     print(f"average_reward = {value:.12g}")
     print("stationary_distribution = "

@@ -79,6 +79,11 @@ class ExperimentConfig:
             raise InvalidConfig("at least one behavior epsilon is required")
         if any(not 0 < e <= 1 for e in self.behavior_epsilons):
             raise InvalidConfig("behavior epsilons must be in (0, 1]")
+        if self.solver.step is not None and not 0 < self.solver.step < float("inf"):
+            raise InvalidConfig("solver.step must be a finite number > 0 "
+                                "(omit it for the automatic step)")
+        if self.solver.iters < 1:
+            raise InvalidConfig("solver.iters must be >= 1")
 
 
 _CONFIG_KEYS = {
@@ -146,8 +151,7 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.kernel = KernelSpec(kind, raw.get("kernel.bandwidth"))
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from None
-    step = raw.get("solver.step")
-    cfg.solver = SolverParams(step=None if not step else step,
+    cfg.solver = SolverParams(step=raw.get("solver.step"),
                               iters=raw.get("solver.iters", 20000),
                               seed=raw.get("solver.seed", 0))
     cfg.validate()
@@ -303,8 +307,8 @@ def _cell_context(cfg: ExperimentConfig, master_seed: int):
     if ctx is None:
         mdp = build_environment(cfg.environment)
         target, behaviors = make_policies(mdp, cfg, master_seed)
-        truth = average_reward(mdp, target)
         d_target = stationary_distribution(mdp, target)
+        truth = average_reward(mdp, target, dist=d_target)
         ctx = (mdp, target, behaviors, truth, d_target)
         _WORKER_CACHE.clear()
         _WORKER_CACHE[key] = ctx
@@ -343,6 +347,8 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int = 0, workers: int = 1
     cfg.validate()
     if master_seed < 0:
         raise InvalidConfig("master seed must be nonnegative")
+    if workers < 1:
+        raise InvalidConfig("workers must be >= 1")
     tasks = [(cfg, master_seed, measure_time, nt, h, k)
              for nt in cfg.num_trajectories for h in cfg.horizons
              for k in range(cfg.seeds)]

@@ -6,8 +6,11 @@ stochastic operation takes an explicit integer seed so experiments are
 bit-reproducible.
 """
 
-import numpy as np
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 PROB_ATOL = 1e-12
 
@@ -59,6 +62,12 @@ class TabularMDP:
     @property
     def num_actions(self) -> int:
         return self.transition.shape[1]
+
+    @cached_property
+    def transition_cdf(self):
+        """:func:`support_cdf_table` of the (S*A, S) transition rows, built
+        on first use; the transition tensor must not change afterwards."""
+        return support_cdf_table(self.transition.reshape(-1, self.num_states))
 
 
 @dataclass
@@ -244,28 +253,54 @@ def stationary_distribution(mdp: TabularMDP, policy: TabularPolicy,
 
 
 def average_reward(mdp: TabularMDP, policy: TabularPolicy,
-                   tol: float = 1e-10, max_iters: int = 10**6) -> float:
-    """Long-run average reward sum_{s,a} d(s) pi(a|s) r(s,a)."""
-    d = stationary_distribution(mdp, policy, tol=tol, max_iters=max_iters)
+                   tol: float = 1e-10, max_iters: int = 10**6,
+                   dist: StateDistribution | None = None) -> float:
+    """Long-run average reward sum_{s,a} d(s) pi(a|s) r(s,a).
+
+    Pass the policy's stationary distribution as ``dist`` when it is already
+    known; otherwise it is computed by :func:`stationary_distribution`.
+    """
+    if dist is None:
+        dist = stationary_distribution(mdp, policy, tol=tol, max_iters=max_iters)
     per_state = np.einsum("sa,sa->s", policy.probs, mdp.reward)
-    return float(d.probs @ per_state)
+    return float(dist.probs @ per_state)
 
 
-class _RowSampler:
-    """Inverse-CDF sampler over the rows of a probability table, caching
-    each row's cumulative sums on first use."""
+def support_cdf_table(table: np.ndarray):
+    """Inverse-CDF lookup table over the rows of a nonnegative 2-D table.
 
-    def __init__(self, table: np.ndarray):
-        self.table = table
-        self.cache: dict = {}
+    Returns ``(cum, cols, counts)``.  Row i of ``cum`` holds the running sums
+    of row i's nonzero entries in column order, padded with +inf; ``cols``
+    holds their column indices, padded with the last column index; and
+    ``counts`` the number of nonzero entries.  Adding 0.0 is exact, so the
+    running sums equal ``np.cumsum(table[i])`` at the nonzero columns, and
+    ``cols[i, k]`` with k = #{cum[i] <= u} is the column that the dense
+    ``min(searchsorted(cumsum(row), u, "right"), K - 1)`` picks.  A draw at
+    or past the row's last sum lands on the padding, which is column K - 1.
+    """
+    num_rows, num_cols = table.shape
+    rows, cols = np.divmod(np.flatnonzero(table != 0), num_cols)  # faster than np.nonzero
+    counts = np.bincount(rows, minlength=num_rows)
+    width = int(counts.max()) + 1
+    pos = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    cum = np.zeros((num_rows, width))
+    cum[rows, pos] = table[rows, cols]
+    cum = np.cumsum(cum, axis=1)
+    cum[np.arange(width) >= counts[:, None]] = np.inf
+    col_table = np.full((num_rows, width), num_cols - 1, dtype=np.int64)
+    col_table[rows, pos] = cols
+    return cum, col_table, counts
 
-    def draw(self, key, rng) -> int:
-        cdf = self.cache.get(key)
-        if cdf is None:
-            cdf = np.cumsum(self.table[key])
-            self.cache[key] = cdf
-        idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-        return min(idx, len(cdf) - 1)
+
+def _draw(cum: np.ndarray, cols: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One inverse-CDF draw per entry of ``rows`` from a
+    :func:`support_cdf_table` table, with uniforms ``u``."""
+    k = np.add.reduce(cum.take(rows, axis=0) <= u[:, None], axis=1)
+    return cols.take(rows * cols.shape[1] + k)
+
+
+# uniforms drawn at once by sample_trajectories: 2**19 doubles (4 MB)
+_UNIFORM_BUFFER = 1 << 19
 
 
 def sample_trajectories(mdp: TabularMDP, policy: TabularPolicy, num_traj: int,
@@ -273,28 +308,35 @@ def sample_trajectories(mdp: TabularMDP, policy: TabularPolicy, num_traj: int,
     """Simulate ``num_traj`` rollouts of exactly ``horizon`` steps each.
 
     Every trajectory starts from the MDP's initial distribution.  Identical
-    seeds produce bit-identical output.
+    seeds produce bit-identical output.  Each trajectory consumes 1 + 2 *
+    horizon uniforms in the order (initial state, then action and next
+    state per step); the rollouts of a block advance in lockstep, one
+    vectorized inverse-CDF draw per time step.
     """
     if num_traj < 1 or horizon < 1:
         raise ValueError("num_traj and horizon must be >= 1")
     rng = np.random.default_rng(seed)
-    action_sampler = _RowSampler(policy.probs)
-    next_sampler = _RowSampler(mdp.transition)
+    act_cum, act_cols, _ = support_cdf_table(policy.probs)
+    next_cum, next_cols, _ = mdp.transition_cdf
     init_cdf = np.cumsum(mdp.initial_dist)
+    num_states, num_actions = mdp.num_states, mdp.num_actions
+    block = max(1, _UNIFORM_BUFFER // (1 + 2 * horizon))
     out = []
-    for _ in range(num_traj):
-        s = min(int(np.searchsorted(init_cdf, rng.random(), side="right")),
-                mdp.num_states - 1)
-        states = np.empty(horizon, dtype=np.int64)
-        actions = np.empty(horizon, dtype=np.int64)
-        rewards = np.empty(horizon, dtype=np.float64)
-        nexts = np.empty(horizon, dtype=np.int64)
+    for first in range(0, num_traj, block):
+        n = min(block, num_traj - first)
+        u = rng.random((n, 1 + 2 * horizon))
+        path = [np.minimum(np.searchsorted(init_cdf, u[:, 0], side="right"), num_states - 1)]
+        actions = []
         for t in range(horizon):
-            a = action_sampler.draw(s, rng)
-            sp = next_sampler.draw((s, a), rng)
-            states[t], actions[t], rewards[t], nexts[t] = s, a, mdp.reward[s, a], sp
-            s = sp
-        out.append(Trajectory(states, actions, rewards, nexts, policy_label=label))
+            s = path[-1]
+            a = _draw(act_cum, act_cols, s, u[:, 1 + 2 * t])
+            actions.append(a)
+            path.append(_draw(next_cum, next_cols, s * num_actions + a, u[:, 2 + 2 * t]))
+        path, actions = np.stack(path, axis=1), np.stack(actions, axis=1)
+        states, nexts = path[:, :-1], path[:, 1:].copy()
+        rewards = mdp.reward[states, actions]
+        out.extend(Trajectory(states[i], actions[i], rewards[i], nexts[i], policy_label=label)
+                   for i in range(n))
     return out
 
 
@@ -316,25 +358,44 @@ def train_q_learning_policy(mdp: TabularMDP, episodes: int, epsilon: float,
         raise ValueError("alpha must be in (0, 1]")
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    num_states, num_actions = mdp.num_states, mdp.num_actions
-    q = np.zeros((num_states, num_actions))
-    next_sampler = _RowSampler(mdp.transition)
-    init_cdf = np.cumsum(mdp.initial_dist)
-    for _ in range(episodes):
-        s = min(int(np.searchsorted(init_cdf, rng.random(), side="right")),
-                num_states - 1)
-        for _ in range(steps_per_episode):
-            if rng.random() < epsilon:
-                a = int(rng.integers(num_actions))
-            else:
-                a = int(np.argmax(q[s]))
-            sp = next_sampler.draw((s, a), rng)
-            q[s, a] += alpha * (mdp.reward[s, a] + gamma * q[sp].max() - q[s, a])
-            s = sp
+    q = _q_learning_table(mdp, episodes, epsilon, alpha, gamma, seed, steps_per_episode)
+    num_states, num_actions = q.shape
     probs = np.full((num_states, num_actions), epsilon / num_actions)
     probs[np.arange(num_states), np.argmax(q, axis=1)] += 1.0 - epsilon
     return TabularPolicy(probs)
+
+
+def _q_learning_table(mdp: TabularMDP, episodes: int, epsilon: float, alpha: float,
+                      gamma: float, seed: int, steps_per_episode: int) -> np.ndarray:
+    """The Q table that :func:`train_q_learning_policy` softens."""
+    rng = np.random.default_rng(seed)
+    num_states, num_actions = mdp.num_states, mdp.num_actions
+    # the loop is scalar, so it runs on Python lists: the same float64
+    # arithmetic as numpy scalars, without their per-operation overhead
+    cum, cols, counts = mdp.transition_cdf
+    keep = np.arange(cum.shape[1]) <= counts[:, None]  # the nonzeros and one padding
+    ends = np.cumsum(counts + 1).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    flat_cum, flat_cols = cum[keep].tolist(), cols[keep].tolist()
+    cdf_rows = [flat_cum[start:end] for start, end in bounds]
+    col_rows = [flat_cols[start:end] for start, end in bounds]
+    reward = mdp.reward.tolist()
+    init_cdf = np.cumsum(mdp.initial_dist).tolist()
+    q = [[0.0] * num_actions for _ in range(num_states)]
+    random, integers = rng.random, rng.integers
+    for _ in range(episodes):
+        s = min(bisect_right(init_cdf, random()), num_states - 1)
+        for _ in range(steps_per_episode):
+            q_s = q[s]
+            if random() < epsilon:
+                a = int(integers(num_actions))
+            else:
+                a = q_s.index(max(q_s))  # first maximal action, as np.argmax
+            row = s * num_actions + a
+            sp = col_rows[row][bisect_right(cdf_rows[row], random())]
+            q_s[a] += alpha * (reward[s][a] + gamma * max(q[sp]) - q_s[a])
+            s = sp
+    return np.array(q)
 
 
 def population_dataset(mdp: TabularMDP, behaviors, weights=None,

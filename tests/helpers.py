@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from empbench import TabularMDP, TabularPolicy, stationary_distribution
+from empbench import TabularMDP, TabularPolicy, Trajectory, stationary_distribution
 
 
 def random_mdp(rng, num_states, num_actions, reward_scale=1.0):
@@ -88,3 +88,58 @@ def naive_state_action_objective(data, target, nu, kfunc, u):
                                      for a1 in range(num_actions))
             total += w[i] * w[j] * ui * uj * (t1 + t2 + t3 + t4)
     return total / w.sum() ** 2
+
+
+def _reference_draw(cdf_cache, table, key, rng) -> int:
+    cdf = cdf_cache.get(key)
+    if cdf is None:
+        cdf = cdf_cache[key] = np.cumsum(table[key])
+    return min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
+
+
+def reference_sample_trajectories(mdp, policy, num_traj, horizon, seed, label=0):
+    """Frozen copy of the original per-step sampler: one scalar uniform for
+    each trajectory's initial state, then one for the action and one for the
+    next state per step, each drawn from the dense row's cumulative sums.
+    Oracle for the lockstep sampler, which must reproduce it bit for bit."""
+    rng = np.random.default_rng(seed)
+    actions_cdf, next_cdf = {}, {}
+    init_cdf = np.cumsum(mdp.initial_dist)
+    out = []
+    for _ in range(num_traj):
+        s = min(int(np.searchsorted(init_cdf, rng.random(), side="right")),
+                mdp.num_states - 1)
+        states = np.empty(horizon, dtype=np.int64)
+        actions = np.empty(horizon, dtype=np.int64)
+        rewards = np.empty(horizon, dtype=np.float64)
+        nexts = np.empty(horizon, dtype=np.int64)
+        for t in range(horizon):
+            a = _reference_draw(actions_cdf, policy.probs, s, rng)
+            sp = _reference_draw(next_cdf, mdp.transition, (s, a), rng)
+            states[t], actions[t], rewards[t], nexts[t] = s, a, mdp.reward[s, a], sp
+            s = sp
+        out.append(Trajectory(states, actions, rewards, nexts, policy_label=label))
+    return out
+
+
+def reference_q_table(mdp, episodes, epsilon, alpha, gamma, seed, steps_per_episode=100):
+    """Frozen copy of the original numpy Q-learning loop; returns the final
+    Q table.  Oracle for the list-based loop behind train_q_learning_policy."""
+    rng = np.random.default_rng(seed)
+    num_states, num_actions = mdp.num_states, mdp.num_actions
+    q = np.zeros((num_states, num_actions))
+    next_cdf = {}
+    init_cdf = np.cumsum(mdp.initial_dist)
+    for _ in range(episodes):
+        s = min(int(np.searchsorted(init_cdf, rng.random(), side="right")),
+                num_states - 1)
+        for _ in range(steps_per_episode):
+            if rng.random() < epsilon:
+                a = int(rng.integers(num_actions))
+            else:
+                a = int(np.argmax(q[s]))
+            sp = _reference_draw(next_cdf, mdp.transition, (s, a), rng)
+            q[s, a] += alpha * (mdp.reward[s, a] + gamma * q[sp].max() - q[s, a])
+            s = sp
+    return q
+

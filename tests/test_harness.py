@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,11 @@ from empbench import (InvalidConfig, ResultRecord, StateDistribution, average_re
 from empbench.cli import main
 from empbench.harness import make_policies
 
+
+REPO = Path(__file__).resolve().parent.parent
+# records.csv of `empbench run demos/singlepath.cfg --seed 0`, written by the
+# per-step sampler and Q-learning loop that the lockstep ones replaced
+GOLDEN_SINGLEPATH = Path(__file__).resolve().parent / "data" / "singlepath_seed0_records.csv"
 
 TINY_CONFIG = """
 environment = singlepath
@@ -75,6 +82,22 @@ class TestParseConfig:
     def test_unknown_environment_rejected(self):
         with pytest.raises(InvalidConfig):
             parse_config("environment = pendulum\n")
+
+    def test_absent_step_means_automatic(self):
+        assert parse_config("seeds = 2\n").solver.step is None
+        assert parse_config("solver.step = 0.25\n").solver.step == 0.25
+
+    def test_zero_step_rejected(self):
+        with pytest.raises(InvalidConfig):
+            parse_config("solver.step = 0\n")
+
+    def test_negative_step_rejected(self):
+        with pytest.raises(InvalidConfig):
+            parse_config("solver.step = -0.5\n")
+
+    def test_zero_iters_rejected(self):
+        with pytest.raises(InvalidConfig):
+            parse_config("solver.iters = 0\n")
 
 
 class TestRunExperiment:
@@ -250,3 +273,14 @@ class TestCli:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.txt")]) == 2
+
+    def test_workers_below_one_exits_2(self, tmp_path, capsys):
+        assert main(["run", str(self.write_config(tmp_path)), "--workers", "0"]) == 2
+        assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_singlepath_demo_matches_golden_records(self, tmp_path, workers):
+        out = tmp_path / "out"
+        assert main(["run", str(REPO / "demos" / "singlepath.cfg"), "--seed", "0",
+                     "--workers", str(workers), "--out", str(out)]) == 0
+        assert (out / "records.csv").read_bytes() == GOLDEN_SINGLEPATH.read_bytes()

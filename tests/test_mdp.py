@@ -3,12 +3,30 @@ import pytest
 
 from empbench import (NonErgodicChain, TabularMDP, TabularPolicy, Trajectory,
                       TransitionDataset, average_reward, build_gridworld,
-                      build_singlepath, population_dataset, sample_trajectories,
-                      soften_policy, stationary_distribution, train_q_learning_policy,
-                      uniform_policy)
-from empbench.mdp import chain_matrix
+                      build_singlepath, build_taxi, greedy_policy, population_dataset,
+                      sample_trajectories, soften_policy, stationary_distribution,
+                      train_q_learning_policy, uniform_policy)
+from empbench import mdp as mdp_module
+from empbench.mdp import _draw, _q_learning_table, chain_matrix, support_cdf_table
 
-from helpers import random_mdp, random_policy, solve_stationary_exactly, two_state_symmetric
+from helpers import (random_mdp, random_policy, random_soft_policy,
+                     reference_q_table, reference_sample_trajectories,
+                     solve_stationary_exactly, two_state_symmetric)
+
+
+def assert_same_trajectories(actual, expected):
+    assert len(actual) == len(expected)
+    for a, e in zip(actual, expected):
+        for name in ("states", "actions", "rewards", "next_states"):
+            x, y = getattr(a, name), getattr(e, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert a.policy_label == e.policy_label
+
+
+def small_mdps():
+    rng = np.random.default_rng(31)
+    dense = [random_mdp(rng, 6, 3), random_mdp(rng, 9, 2)]
+    return [build_singlepath(), build_gridworld()] + dense
 
 
 class TestValidation:
@@ -154,6 +172,87 @@ class TestSampling:
             freq = np.bincount(states, minlength=5) / len(states)
             tvs.append(0.5 * np.abs(freq - d).sum())
         assert np.mean(tvs) <= 0.02
+
+
+class TestSamplerMatchesPerStepReference:
+    """The lockstep sampler consumes the random stream exactly as the
+    original per-step loop (tests/helpers.py) and returns the same arrays."""
+
+    @pytest.mark.parametrize("num_traj, horizon", [(1, 30), (7, 25)])
+    def test_small_mdps(self, num_traj, horizon):
+        rng = np.random.default_rng(5)
+        for k, mdp in enumerate(small_mdps()):
+            policy = random_soft_policy(rng, mdp.num_states, mdp.num_actions)
+            args = (mdp, policy, num_traj, horizon)
+            assert_same_trajectories(sample_trajectories(*args, seed=k, label=k),
+                                     reference_sample_trajectories(*args, seed=k, label=k))
+
+    def test_deterministic_policy_rows(self):
+        # zero-probability actions exercise the sparse action table
+        mdp = build_gridworld()
+        policy = greedy_policy(random_policy(np.random.default_rng(6), 16, 4))
+        assert_same_trajectories(sample_trajectories(mdp, policy, 5, 40, seed=3),
+                                 reference_sample_trajectories(mdp, policy, 5, 40, seed=3))
+
+    def test_more_trajectories_than_one_block(self, monkeypatch):
+        # a 64-double buffer holds 3 trajectories of 1 + 2 * 10 uniforms,
+        # so 10 trajectories take three full blocks and a partial one
+        monkeypatch.setattr(mdp_module, "_UNIFORM_BUFFER", 64)
+        for k, mdp in enumerate(small_mdps()):
+            policy = uniform_policy(mdp.num_states, mdp.num_actions)
+            assert_same_trajectories(sample_trajectories(mdp, policy, 10, 10, seed=k),
+                                     reference_sample_trajectories(mdp, policy, 10, 10, seed=k))
+
+    def test_taxi(self):
+        mdp = build_taxi()
+        policy = soften_policy(uniform_policy(mdp.num_states, mdp.num_actions), 0.2)
+        assert_same_trajectories(sample_trajectories(mdp, policy, 3, 150, seed=9),
+                                 reference_sample_trajectories(mdp, policy, 3, 150, seed=9))
+
+    def test_draw_past_last_cumulative_sum_returns_last_state(self):
+        # ten steps of 0.1 sum to 0.9999999999999999 < 1, a value the
+        # generator can return; the dense loop then picks the last column
+        # even though it has zero probability
+        num_states = 11
+        transition = np.zeros((num_states, 1, num_states))
+        transition[:, 0, :10] = 0.1
+        mdp = TabularMDP(transition, np.zeros((num_states, 1)), np.full(num_states, 1 / 11))
+        cum, cols, counts = mdp.transition_cdf
+        dense_cdf = np.cumsum(transition[0, 0])
+        last = dense_cdf[-1]
+        assert last < 1.0 and counts[0] == 10
+        u = np.array([last, np.nextafter(last, 0.0), 0.0])
+        dense = [min(int(np.searchsorted(dense_cdf, x, side="right")), num_states - 1)
+                 for x in u]
+        draws = _draw(cum, cols, np.zeros(3, dtype=np.int64), u)
+        assert draws.tolist() == dense == [num_states - 1, 9, 0]
+
+    def test_table_sums_equal_dense_cumsum(self):
+        rng = np.random.default_rng(12)
+        table = rng.random((8, 6)) * (rng.random((8, 6)) < 0.5)
+        table[:, 0] += 0.1  # no empty row
+        cum, cols, counts = support_cdf_table(table)
+        for i, row in enumerate(table):
+            nonzero = np.flatnonzero(row)
+            assert counts[i] == len(nonzero)
+            assert np.array_equal(cum[i, :counts[i]], np.cumsum(row)[nonzero])
+            assert np.array_equal(cols[i, :counts[i]], nonzero)
+            assert np.all(np.isinf(cum[i, counts[i]:]))
+            assert np.all(cols[i, counts[i]:] == table.shape[1] - 1)
+
+
+class TestQLearningMatchesPerStepReference:
+    """The list-based loop makes the same random calls and the same float64
+    updates as the original numpy loop (tests/helpers.py)."""
+
+    def test_small_mdps(self):
+        for k, mdp in enumerate(small_mdps()):
+            args = (mdp, 60, 0.2, 0.3, 0.9, k, 100)
+            assert np.array_equal(_q_learning_table(*args), reference_q_table(*args))
+
+    def test_taxi(self):
+        args = (build_taxi(), 15, 0.1, 0.2, 0.95, 4, 100)
+        assert np.array_equal(_q_learning_table(*args), reference_q_table(*args))
 
 
 class TestQLearning:
