@@ -10,17 +10,17 @@ and a desk-scale experiment harness with a CLI.
 from .corrections import (CorrectionVector, DegenerateReference, KernelSpec,
                           QuadraticForm, SolverParams, StateActionCorrection,
                           assemble_state_action_quadratic, assemble_state_quadratic,
-                          importance_ratio, learn_bch, learn_bch_pooled, learn_emp,
-                          learn_sadl, solve_normalized_quadratic)
+                          importance_ratios, learn_bch, learn_emp, learn_sadl,
+                          solve_normalized_quadratic)
 from .envs import ENVIRONMENTS, build_environment, build_gridworld, build_singlepath, \
     build_taxi
-from .estimators import (HeuristicTable, balanced_heuristic, emp_single_estimate,
-                         kl_emp_estimate, mis_reward_estimate, ratio_reward_estimate,
-                         sadl_reward_estimate, stepwise_wis_estimate)
-from .harness import (ExperimentConfig, InvalidConfig, PolicySpec, ResultRecord,
-                      SummaryRow, UnknownMethod, emit_csv, load_config, parse_config,
-                      read_records_csv, run_experiment, summarize_mse, summarize_tv,
-                      tv_distance)
+from .estimators import (HeuristicTable, balanced_heuristic, mis_reward_estimate,
+                         ratio_reward_estimate, sadl_reward_estimate,
+                         stepwise_wis_estimate)
+from .harness import (METHOD_NAMES, STATE_METHODS, ExperimentConfig, InvalidConfig,
+                      PolicySpec, ResultRecord, StateMethod, SummaryRow, UnknownMethod,
+                      emit_csv, load_config, parse_config, read_records_csv, run_experiment,
+                      run_method, summarize_mse, summarize_tv, tv_distance)
 from .mdp import (MissingLabel, NonErgodicChain, StateDistribution, TabularMDP,
                   TabularPolicy, Trajectory, TransitionDataset, average_reward,
                   greedy_policy, population_dataset, sample_trajectories,
@@ -33,18 +33,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorrectionVector", "DegenerateReference", "ENVIRONMENTS", "ExperimentConfig",
-    "HeuristicTable", "InvalidConfig", "KernelSpec", "MissingLabel", "NonErgodicChain",
-    "PolicySpec", "QuadraticForm", "ResultRecord", "SolverParams", "StateActionCorrection",
-    "StateDistribution", "SummaryRow", "TabularMDP", "TabularPolicy", "Trajectory",
-    "TransitionDataset", "UnknownMethod", "WeightVector",
+    "HeuristicTable", "InvalidConfig", "KernelSpec", "METHOD_NAMES", "MissingLabel",
+    "NonErgodicChain", "PolicySpec", "QuadraticForm", "ResultRecord", "STATE_METHODS",
+    "SolverParams", "StateActionCorrection", "StateDistribution", "StateMethod",
+    "SummaryRow", "TabularMDP", "TabularPolicy", "Trajectory", "TransitionDataset",
+    "UnknownMethod", "WeightVector",
     "assemble_state_action_quadratic", "assemble_state_quadratic", "average_reward",
     "balanced_heuristic", "build_environment", "build_gridworld", "build_singlepath",
-    "build_taxi", "compute_kl_weights", "emit_csv", "emp_single_estimate",
-    "empirical_state_distribution", "estimate_policy_mle", "exact_mixed_policy",
-    "greedy_policy", "importance_ratio", "kl_divergence_rows", "kl_emp_estimate",
-    "learn_bch", "learn_bch_pooled", "learn_emp", "learn_sadl", "load_config",
+    "build_taxi", "compute_kl_weights", "emit_csv", "empirical_state_distribution",
+    "estimate_policy_mle", "exact_mixed_policy", "greedy_policy", "importance_ratios",
+    "kl_divergence_rows", "learn_bch", "learn_emp", "learn_sadl", "load_config",
     "mis_reward_estimate", "parse_config", "population_dataset", "ratio_reward_estimate",
-    "read_records_csv", "run_experiment", "sadl_reward_estimate", "sample_trajectories",
+    "read_records_csv", "run_experiment", "run_method", "sadl_reward_estimate",
+    "sample_trajectories",
     "soften_policy", "solve_normalized_quadratic", "stationary_distribution",
     "stepwise_wis_estimate", "summarize_mse", "summarize_tv", "train_q_learning_policy",
     "tv_distance", "uniform_policy",

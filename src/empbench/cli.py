@@ -29,25 +29,27 @@ def _out_dir(cfg, args) -> Path:
     return out
 
 
-def _cmd_run(args) -> int:
+def _sweep(args, summarize, summary_name: str):
+    """Run the config's sweep and write records.csv plus its summary;
+    returns the records, the summary rows and the output directory."""
     cfg = load_config(args.config)
     records = run_experiment(cfg, master_seed=args.seed, workers=args.workers,
                              measure_time=args.timings)
     out = _out_dir(cfg, args)
     emit_csv(records, out / "records.csv")
-    emit_csv(summarize_mse(records), out / "summary.csv")
+    rows = summarize(records)
+    emit_csv(rows, out / summary_name)
+    return records, rows, out
+
+
+def _cmd_run(args) -> int:
+    records, _, out = _sweep(args, summarize_mse, "summary.csv")
     print(f"wrote {len(records)} records to {out / 'records.csv'}")
     return 0
 
 
 def _cmd_tv(args) -> int:
-    cfg = load_config(args.config)
-    records = run_experiment(cfg, master_seed=args.seed, workers=args.workers,
-                             measure_time=args.timings)
-    out = _out_dir(cfg, args)
-    emit_csv(records, out / "records.csv")
-    rows = summarize_tv(records)
-    emit_csv(rows, out / "tv_summary.csv")
+    _, rows, out = _sweep(args, summarize_tv, "tv_summary.csv")
     print(f"wrote {len(rows)} summary rows to {out / 'tv_summary.csv'}")
     return 0
 

@@ -16,6 +16,8 @@ per-record importance ratio:
 * exact per-record behavior via labels (policy aware, pooled),
 * no denominator at all for the state-action correction, which absorbs the
   behavior policy into the learned quantity (fully policy agnostic).
+
+The first three are one learner, :func:`learn_bch`, given that denominator.
 """
 
 import numpy as np
@@ -121,10 +123,6 @@ class QuadraticForm:
         """The objective's matrix with the scale folded in."""
         return self.scale * self.matrix
 
-    def dump(self, path) -> None:
-        """Write the normalized matrix row-major, whitespace-separated."""
-        np.savetxt(path, self.normalized_matrix())
-
 
 @dataclass
 class SolverParams:
@@ -178,28 +176,49 @@ class StateActionCorrection:
             raise ValueError(f"normalization violated: E_ref[u] = {total}")
 
 
-def importance_ratio(target: TabularPolicy, denom: TabularPolicy, s: int, a: int) -> float:
-    """pi(a|s) / denom(a|s), denominator floored at 1e-12."""
-    return float(target.probs[s, a] / max(denom.probs[s, a], RATIO_FLOOR))
+def importance_ratios(data: TransitionDataset, target: TabularPolicy,
+                      denom_policy) -> np.ndarray:
+    """Per-record ratios pi(a|s) / denom(a|s), the denominator floored at
+    1e-12.
+
+    ``denom_policy`` is one policy for every record, or a list of per-label
+    policies indexed by the records' behavior labels.
+    """
+    if isinstance(denom_policy, TabularPolicy):
+        denom = denom_policy.probs[data.s, data.a]
+    else:
+        labels = data.require_labels()
+        if np.any(labels < 0) or np.any(labels >= len(denom_policy)):
+            raise ValueError("labels must index the denominator policies")
+        denom = np.stack([p.probs for p in denom_policy])[labels, data.s, data.a]
+    return target.probs[data.s, data.a] / np.maximum(denom, RATIO_FLOOR)
 
 
-def _ratio_column(target: TabularPolicy, denom_probs: np.ndarray,
-                  s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    return target.probs[s, a] / np.maximum(denom_probs, RATIO_FLOOR)
+def assemble_state_quadratic(data: TransitionDataset, target: TabularPolicy,
+                             denom_policy, kernel: KernelSpec,
+                             num_states: int) -> QuadraticForm:
+    """Quadratic form A with omega' A omega equal to the kernelized squared
+    residual of the stationary balance equation under importance weighting:
 
+    (1/W^2) sum_{i,j} w_i w_j (rho_i omega(s_i) - omega(s'_i))
+                              (rho_j omega(s_j) - omega(s'_j)) k(s'_i, s'_j)
 
-def _state_quadratic(s, next_s, weights, rho, kernel: KernelSpec,
-                     num_states: int) -> QuadraticForm:
+    where rho_i = pi(a_i|s_i) / denom(a_i|s_i) (see :func:`importance_ratios`)
+    and W = sum_i w_i.
+    """
+    if len(data) == 0:
+        raise ValueError("dataset must be nonempty")
+    rho = importance_ratios(data, target, denom_policy)
     # Each record contributes the linear-in-omega residual
     # rho_i omega(s_i) - omega(s'_i), paired through the kernel at the next
     # states.  Rows of C group records by next state, so A = C' K C / W^2
     # never materializes an N x N Gram matrix.
-    rows = np.concatenate([next_s, next_s])
-    cols = np.concatenate([s, next_s])
-    vals = np.concatenate([weights * rho, -weights])
+    rows = np.concatenate([data.sp, data.sp])
+    cols = np.concatenate([data.s, data.sp])
+    vals = np.concatenate([data.weights * rho, -data.weights])
     c = sparse.coo_matrix((vals, (rows, cols)),
                           shape=(num_states, num_states)).tocsr()
-    w_total = float(weights.sum())
+    w_total = float(data.weights.sum())
     if kernel.kind == "state-delta":
         mat = (c.T @ c).toarray()
     elif kernel.kind == "gaussian-on-embedding":
@@ -209,23 +228,6 @@ def _state_quadratic(s, next_s, weights, rho, kernel: KernelSpec,
         raise ValueError(f"kernel kind {kernel.kind!r} is not a state kernel")
     mat = 0.5 * (mat + mat.T)
     return QuadraticForm(mat, num_states, scale=1.0 / w_total**2)
-
-
-def assemble_state_quadratic(data: TransitionDataset, target: TabularPolicy,
-                             denom_policy: TabularPolicy, kernel: KernelSpec,
-                             num_states: int) -> QuadraticForm:
-    """Quadratic form A with omega' A omega equal to the kernelized squared
-    residual of the stationary balance equation under importance weighting:
-
-    (1/W^2) sum_{i,j} w_i w_j (rho_i omega(s_i) - omega(s'_i))
-                              (rho_j omega(s_j) - omega(s'_j)) k(s'_i, s'_j)
-
-    where rho_i = pi(a_i|s_i) / denom(a_i|s_i) and W = sum_i w_i.
-    """
-    if len(data) == 0:
-        raise ValueError("dataset must be nonempty")
-    rho = _ratio_column(target, denom_policy.probs[data.s, data.a], data.s, data.a)
-    return _state_quadratic(data.s, data.sp, data.weights, rho, kernel, num_states)
 
 
 def assemble_state_action_quadratic(data: TransitionDataset, target: TabularPolicy,
@@ -350,20 +352,27 @@ def solve_normalized_quadratic(A: QuadraticForm, reference, step: float | None =
     return x
 
 
-def learn_bch(data: TransitionDataset, target: TabularPolicy,
-              exact_behavior: TabularPolicy, kernel: KernelSpec | None = None,
+def learn_bch(data: TransitionDataset, target: TabularPolicy, denom_policy,
+              kernel: KernelSpec | None = None,
               solver: SolverParams | None = None) -> CorrectionVector:
-    """State correction learner with the exact behavior policy in the
-    importance-ratio denominator (policy aware)."""
-    rho = _ratio_column(target, exact_behavior.probs[data.s, data.a], data.s, data.a)
-    return _solve_state_correction(data, rho, target.num_states, kernel, solver)
+    """State correction learner with ``denom_policy`` in the importance-ratio
+    denominator: the exact behavior policy (policy aware), a list of exact
+    per-label behaviors for pooled labeled data, or an estimate of the
+    behavior (see :func:`learn_emp`)."""
+    kernel = kernel or KernelSpec.state_delta()
+    solver = solver or SolverParams()
+    qf = assemble_state_quadratic(data, target, denom_policy, kernel, target.num_states)
+    reference = empirical_state_distribution(data, target.num_states)
+    x = solve_normalized_quadratic(qf, reference.probs, step=solver.step,
+                                   iters=solver.iters, seed=solver.seed)
+    return CorrectionVector(x, reference)
 
 
 def learn_emp(data: TransitionDataset, target: TabularPolicy,
               kernel: KernelSpec | None = None,
               solver: SolverParams | None = None) -> CorrectionVector:
-    """State correction learner with the denominator policy estimated from
-    the data by maximum likelihood.
+    """:func:`learn_bch` with the denominator policy estimated from the data
+    by maximum likelihood.
 
     Works unchanged for data pooled from several unknown behavior policies:
     the count-frequency estimate converges to the stationary-weighted
@@ -372,34 +381,7 @@ def learn_emp(data: TransitionDataset, target: TabularPolicy,
     """
     num_states, num_actions = target.probs.shape
     pi_hat = estimate_policy_mle(data, num_states, num_actions)
-    rho = _ratio_column(target, pi_hat.probs[data.s, data.a], data.s, data.a)
-    return _solve_state_correction(data, rho, num_states, kernel, solver)
-
-
-def learn_bch_pooled(data: TransitionDataset, target: TabularPolicy,
-                     exact_behaviors, kernel: KernelSpec | None = None,
-                     solver: SolverParams | None = None) -> CorrectionVector:
-    """State correction learner on pooled labeled data with the exact
-    per-record behavior policy in the denominator."""
-    labels = data.require_labels()
-    if np.any(labels < 0) or np.any(labels >= len(exact_behaviors)):
-        raise ValueError("labels must index exact_behaviors")
-    stacked = np.stack([b.probs for b in exact_behaviors])
-    denom = stacked[labels, data.s, data.a]
-    rho = _ratio_column(target, denom, data.s, data.a)
-    return _solve_state_correction(data, rho, target.num_states, kernel, solver)
-
-
-def _solve_state_correction(data, rho, num_states, kernel, solver) -> CorrectionVector:
-    if len(data) == 0:
-        raise ValueError("dataset must be nonempty")
-    kernel = kernel or KernelSpec.state_delta()
-    solver = solver or SolverParams()
-    qf = _state_quadratic(data.s, data.sp, data.weights, rho, kernel, num_states)
-    reference = empirical_state_distribution(data, num_states)
-    x = solve_normalized_quadratic(qf, reference.probs, step=solver.step,
-                                   iters=solver.iters, seed=solver.seed)
-    return CorrectionVector(x, reference)
+    return learn_bch(data, target, pi_hat, kernel, solver)
 
 
 def learn_sadl(data: TransitionDataset, target: TabularPolicy,

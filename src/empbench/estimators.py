@@ -10,10 +10,15 @@ combination of per-behavior estimates.
 import numpy as np
 from dataclasses import dataclass
 
-from .corrections import (CorrectionVector, KernelSpec, RATIO_FLOOR, SolverParams,
-                          StateActionCorrection, learn_emp)
+from .corrections import (CorrectionVector, RATIO_FLOOR, StateActionCorrection,
+                          importance_ratios)
 from .mdp import TabularPolicy, TransitionDataset
-from .policies import WeightVector, compute_kl_weights, estimate_policy_mle
+from .policies import WeightVector
+
+# Unused here: the traced benchmark run (benchmark/child.py --trace 1) wraps
+# these names by lookup.
+from .corrections import learn_emp  # noqa: E402,F401
+from .policies import compute_kl_weights, estimate_policy_mle  # noqa: E402,F401
 
 
 @dataclass
@@ -31,14 +36,6 @@ class HeuristicTable:
             raise ValueError("heuristic weights must be nonnegative")
         if not np.allclose(self.h.sum(axis=0), 1.0, rtol=0.0, atol=1e-9):
             raise ValueError("heuristic columns must sum to 1")
-
-
-def _denominator_probs(data: TransitionDataset, denom_policy) -> np.ndarray:
-    if isinstance(denom_policy, TabularPolicy):
-        return denom_policy.probs[data.s, data.a]
-    labels = data.require_labels()
-    stacked = np.stack([p.probs for p in denom_policy])
-    return stacked[labels, data.s, data.a]
 
 
 def _correction_values(omega) -> np.ndarray:
@@ -60,8 +57,7 @@ def ratio_reward_estimate(data: TransitionDataset, omega: CorrectionVector,
     """
     if len(data) == 0:
         raise ValueError("dataset must be nonempty")
-    rho = target.probs[data.s, data.a] / np.maximum(_denominator_probs(data, denom_policy),
-                                                    RATIO_FLOOR)
+    rho = importance_ratios(data, target, denom_policy)
     terms = data.weights * _correction_values(omega)[data.s] * rho * data.r
     return float(terms.sum() / data.weights.sum())
 
@@ -104,14 +100,13 @@ def mis_reward_estimate(data: TransitionDataset, per_policy_omegas,
     labels = data.require_labels()
     total = 0.0
     for j, (omega, behavior) in enumerate(zip(per_policy_omegas, per_policy_behaviors)):
-        mask = labels == j
-        if not np.any(mask):
+        sub = data.subset(labels == j)
+        if len(sub) == 0:
             continue
-        w = data.weights[mask]
-        s, a, r = data.s[mask], data.a[mask], data.r[mask]
-        rho = target.probs[s, a] / np.maximum(behavior.probs[s, a], RATIO_FLOOR)
+        rho = importance_ratios(sub, target, behavior)
         values = _correction_values(omega)
-        total += float((w * heuristics.h[j, s] * values[s] * rho * r).sum() / w.sum())
+        total += float((sub.weights * heuristics.h[j, sub.s] * values[sub.s] * rho
+                        * sub.r).sum() / sub.weights.sum())
     return total
 
 
@@ -141,46 +136,3 @@ def stepwise_wis_estimate(trajectories, target: TabularPolicy, behaviors) -> flo
         return float("nan")
     w = np.exp(log_weights - shift)
     return float((w * rewards).sum() / w.sum())
-
-
-def emp_single_estimate(data: TransitionDataset, target: TabularPolicy,
-                        kernel: KernelSpec | None = None,
-                        solver: SolverParams | None = None) -> float:
-    """Run the estimated-mixture pipeline separately on each behavior's
-    subgroup and average the per-subgroup estimates."""
-    labels = data.require_labels()
-    num_states, num_actions = target.probs.shape
-    estimates = []
-    for j in np.unique(labels):
-        sub = data.subset(labels == j)
-        omega = learn_emp(sub, target, kernel, solver)
-        pi_hat = estimate_policy_mle(sub, num_states, num_actions)
-        estimates.append(ratio_reward_estimate(sub, omega, target, pi_hat))
-    return float(np.mean(estimates))
-
-
-def kl_emp_estimate(data: TransitionDataset, target: TabularPolicy,
-                    kernel: KernelSpec | None = None,
-                    solver: SolverParams | None = None) -> float:
-    """Pooled estimated-mixture estimate with KL-based mixture proportions.
-
-    Each behavior is first estimated per label by maximum likelihood; the
-    sample proportions N_j/N are then replaced by the KL-proximity weights
-    by multiplying every record's weight with w_kl_j / (N_j/N), and the
-    plain pooled pipeline runs on the reweighted data.
-    """
-    labels = data.require_labels()
-    num_states, num_actions = target.probs.shape
-    present = np.unique(labels)
-    behaviors = [estimate_policy_mle(data.subset(labels == j), num_states, num_actions)
-                 for j in present]
-    visited = np.unique(data.s)
-    kl_weights = compute_kl_weights(target, behaviors, visited)
-    group_w = np.array([data.weights[labels == j].sum() for j in present])
-    group_w /= group_w.sum()
-    factor_by_label = np.zeros(int(present.max()) + 1)
-    factor_by_label[present] = kl_weights.weights / group_w
-    reweighted = data.with_weights(data.weights * factor_by_label[labels])
-    omega = learn_emp(reweighted, target, kernel, solver)
-    pi_hat = estimate_policy_mle(reweighted, num_states, num_actions)
-    return ratio_reward_estimate(reweighted, omega, target, pi_hat)

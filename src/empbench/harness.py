@@ -14,17 +14,20 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .corrections import (KernelSpec, SolverParams, learn_bch, learn_bch_pooled,
-                          learn_emp, learn_sadl)
+from .corrections import KernelSpec, SolverParams, learn_bch, learn_sadl
 from .envs import ENVIRONMENTS, build_environment
-from .estimators import (balanced_heuristic, emp_single_estimate, kl_emp_estimate,
-                         mis_reward_estimate, ratio_reward_estimate,
+from .estimators import (balanced_heuristic, mis_reward_estimate, ratio_reward_estimate,
                          sadl_reward_estimate, stepwise_wis_estimate)
 from .mdp import (MissingLabel, StateDistribution, TransitionDataset, average_reward,
                   greedy_policy, sample_trajectories, soften_policy,
                   stationary_distribution, train_q_learning_policy)
 from .policies import WeightVector, compute_kl_weights, empirical_state_distribution, \
     estimate_policy_mle
+
+# Unused here: the traced benchmark run (benchmark/child.py --trace 1) wraps
+# these names by lookup.  The method table replaced the last three.
+from .corrections import learn_emp  # noqa: E402,F401
+learn_bch_pooled = emp_single_estimate = kl_emp_estimate = None
 
 
 class InvalidConfig(ValueError):
@@ -35,8 +38,37 @@ class UnknownMethod(ValueError):
     """A method identifier is not recognized."""
 
 
+# the order is part of the results: solver seeds derive from a method's index
 METHOD_NAMES = ("bch", "emp", "bch-pooled", "bch-kl-pooled", "emp-single",
                 "kl-emp", "sadl", "mis", "wis")
+
+
+@dataclass(frozen=True)
+class StateMethod:
+    """A state-correction method as three choices.  ``denominator``:
+    ``"exact"`` (each record's behavior) or ``"mle"`` (count-frequency
+    estimate from the data the correction is learned on).  ``grouping``:
+    ``"pooled"`` (one correction), ``"mean"`` (one per label, estimates
+    averaged) or ``"mis"`` (one per label, balanced heuristic).  ``kl``:
+    KL-proximity weights replace the labels' sample proportions.  ``tv``:
+    records carry the implied distribution's TV distance when a single
+    correction covers all records."""
+
+    denominator: str
+    grouping: str
+    kl: bool = False
+    tv: bool = False
+
+
+STATE_METHODS = {
+    "bch": StateMethod("exact", "mean", tv=True),
+    "emp": StateMethod("mle", "pooled", tv=True),
+    "bch-pooled": StateMethod("exact", "pooled", tv=True),
+    "bch-kl-pooled": StateMethod("exact", "pooled", kl=True),
+    "emp-single": StateMethod("mle", "mean"),
+    "kl-emp": StateMethod("mle", "pooled", kl=True),
+    "mis": StateMethod("mle", "mis"),
+}
 
 
 @dataclass
@@ -229,67 +261,80 @@ def generate_cell_data(mdp, behaviors, num_traj: int, horizon: int, data_seed: i
     return trajectories, TransitionDataset.from_trajectories(trajectories)
 
 
+def _fit(spec: StateMethod, data: TransitionDataset, target, behaviors, kernel, solver):
+    """Learn one state correction on ``data`` with the row's denominator;
+    returns the correction and the denominator its estimate must use."""
+    if spec.denominator == "exact":
+        denom = behaviors
+    else:
+        denom = estimate_policy_mle(data, *target.probs.shape)
+    return learn_bch(data, target, denom, kernel, solver), denom
+
+
+def _kl_reweighted(spec: StateMethod, data: TransitionDataset, target, behaviors):
+    """``data`` with the sample proportions N_j/N of the labels that have
+    records replaced by KL-proximity weights over those labels' policies
+    (exact, or estimated per label by maximum likelihood)."""
+    labels = data.labels
+    present = np.unique(labels)
+    if spec.denominator == "exact":
+        policies = [behaviors[j] for j in present]
+    else:
+        policies = [estimate_policy_mle(data.subset(labels == j), *target.probs.shape)
+                    for j in present]
+    kl_weights = compute_kl_weights(target, policies, np.unique(data.s))
+    group_w = np.array([data.weights[labels == j].sum() for j in present])
+    group_w /= group_w.sum()
+    factor = np.zeros(int(present.max()) + 1)
+    factor[present] = kl_weights.weights / group_w
+    return data.with_weights(data.weights * factor[labels])
+
+
+def _run_state_method(spec: StateMethod, target, behaviors, data: TransitionDataset,
+                      kernel, solver):
+    """One ``STATE_METHODS`` row on labeled data; see :func:`run_method`."""
+    if len(data) == 0:
+        raise ValueError("dataset must be nonempty")
+    if spec.kl:
+        data = _kl_reweighted(spec, data, target, behaviors)
+    if spec.grouping == "pooled":
+        omega, denom = _fit(spec, data, target, behaviors, kernel, solver)
+        dist = omega.implied_distribution() if spec.tv else None
+        return ratio_reward_estimate(data, omega, target, denom), dist
+    groups = [data.subset(data.labels == j) for j in range(len(behaviors))]
+    fits = [_fit(spec, sub, target, behaviors, kernel, solver) if len(sub)
+            else (None, None) for sub in groups]
+    if spec.grouping == "mean":
+        estimates = [ratio_reward_estimate(sub, omega, target, denom)
+                     for sub, (omega, denom) in zip(groups, fits) if len(sub)]
+        dist = fits[0][0].implied_distribution() if spec.tv and len(groups) == 1 else None
+        return float(np.mean(estimates)), dist
+    num_states = target.num_states
+    counts = np.array([len(sub) for sub in groups], dtype=np.float64)
+    uniform = StateDistribution(np.full(num_states, 1.0 / num_states))
+    dists = [empirical_state_distribution(sub, num_states) if len(sub) else uniform
+             for sub in groups]
+    heur = balanced_heuristic(WeightVector(counts / counts.sum()), dists)
+    omegas, denoms = zip(*fits)
+    return mis_reward_estimate(data, omegas, denoms, target, heur), None
+
+
 def run_method(method: str, mdp, target, behaviors, trajectories,
                data: TransitionDataset, kernel: KernelSpec, solver: SolverParams):
-    """Dispatch one method; returns (estimate, implied state distribution or
-    None for methods without a single pooled state correction)."""
-    num_states, num_actions = target.probs.shape
-    labels = data.labels
-    if labels is None:
+    """Dispatch one method (a ``STATE_METHODS`` row, ``sadl`` or ``wis``);
+    returns (estimate, implied state distribution or None for methods
+    without a single pooled state correction)."""
+    if data.labels is None:
         if len(behaviors) > 1:
             raise MissingLabel("multi-behavior data must carry per-record labels")
-        labels = np.zeros(len(data), dtype=np.int64)
-    if method == "bch":
-        estimates, omega = [], None
-        for j, behavior in enumerate(behaviors):
-            sub = data.subset(labels == j)
-            if len(sub) == 0:
-                continue
-            omega = learn_bch(sub, target, behavior, kernel, solver)
-            estimates.append(ratio_reward_estimate(sub, omega, target, behavior))
-        dist = omega.implied_distribution() if len(behaviors) == 1 else None
-        return float(np.mean(estimates)), dist
-    if method == "emp":
-        omega = learn_emp(data, target, kernel, solver)
-        pi_hat = estimate_policy_mle(data, num_states, num_actions)
-        return ratio_reward_estimate(data, omega, target, pi_hat), omega.implied_distribution()
-    if method == "bch-pooled":
-        omega = learn_bch_pooled(data, target, behaviors, kernel, solver)
-        return ratio_reward_estimate(data, omega, target, behaviors), omega.implied_distribution()
-    if method == "bch-kl-pooled":
-        kl_w = compute_kl_weights(target, behaviors, np.unique(data.s))
-        group_w = np.array([data.weights[labels == j].sum() for j in range(len(behaviors))])
-        group_w /= group_w.sum()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            factor = np.where(group_w > 0, kl_w.weights / group_w, 0.0)
-        reweighted = data.with_weights(data.weights * factor[labels])
-        omega = learn_bch_pooled(reweighted, target, behaviors, kernel, solver)
-        return ratio_reward_estimate(reweighted, omega, target, behaviors), None
-    if method == "emp-single":
-        return emp_single_estimate(data, target, kernel, solver), None
-    if method == "kl-emp":
-        return kl_emp_estimate(data, target, kernel, solver), None
+        data = replace(data, labels=np.zeros(len(data), dtype=np.int64))
+    if method in STATE_METHODS:
+        return _run_state_method(STATE_METHODS[method], target, behaviors, data,
+                                 kernel, solver)
     if method == "sadl":
         sa_kernel = kernel if kernel.kind != "state-delta" else KernelSpec.state_action_delta()
         u = learn_sadl(data, target, None, sa_kernel, solver)
         return sadl_reward_estimate(data, u, target), None
-    if method == "mis":
-        omegas, pi_hats, dists = [], [], []
-        counts = np.zeros(len(behaviors))
-        for j in range(len(behaviors)):
-            sub = data.subset(labels == j)
-            counts[j] = len(sub)
-            if len(sub) == 0:
-                omegas.append(None)
-                pi_hats.append(target)
-                dists.append(StateDistribution(np.full(num_states, 1.0 / num_states)))
-                continue
-            omegas.append(learn_emp(sub, target, kernel, solver))
-            pi_hats.append(estimate_policy_mle(sub, num_states, num_actions))
-            dists.append(empirical_state_distribution(sub, num_states))
-        weights = WeightVector(counts / counts.sum())
-        heur = balanced_heuristic(weights, dists)
-        return mis_reward_estimate(data, omegas, pi_hats, target, heur), None
     if method == "wis":
         return stepwise_wis_estimate(trajectories, target, behaviors), None
     raise UnknownMethod(f"unknown method {method!r}")
@@ -363,24 +408,29 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int = 0, workers: int = 1
     return records
 
 
+def _group_stats(records, value):
+    """(key, count, mean, standard error) of ``value(record)`` per
+    (environment, method, num_trajectories, horizon) group in key order,
+    skipping records whose value is None."""
+    groups: dict = {}
+    for rec in records:
+        if value(rec) is not None:
+            key = (rec.environment, rec.method, rec.num_trajectories, rec.horizon)
+            groups.setdefault(key, []).append(value(rec))
+    for key in sorted(groups):
+        x = np.asarray(groups[key])
+        stderr = float(x.std(ddof=1) / np.sqrt(len(x))) if len(x) > 1 else 0.0
+        yield key, len(x), float(x.mean()), stderr
+
+
 def summarize_mse(records) -> list[SummaryRow]:
     """Group records by (environment, method, num_trajectories, horizon) and
     report mean squared error, its standard error, and log10."""
     if not records:
         raise ValueError("records must be nonempty")
-    groups: dict = {}
-    for rec in records:
-        key = (rec.environment, rec.method, rec.num_trajectories, rec.horizon)
-        groups.setdefault(key, []).append(rec.squared_error)
-    rows = []
-    for key in sorted(groups):
-        errors = np.asarray(groups[key])
-        mean = float(errors.mean())
-        stderr = float(errors.std(ddof=1) / np.sqrt(len(errors))) if len(errors) > 1 else 0.0
-        with np.errstate(divide="ignore"):
-            log10 = float(np.log10(mean)) if mean > 0 else float("-inf")
-        rows.append(SummaryRow(*key, len(errors), mean, stderr, log10))
-    return rows
+    return [SummaryRow(*key, n, mean, stderr,
+                       float(np.log10(mean)) if mean > 0 else float("-inf"))
+            for key, n, mean, stderr in _group_stats(records, lambda r: r.squared_error)]
 
 
 @dataclass
@@ -397,18 +447,8 @@ class TvSummaryRow:
 def summarize_tv(records) -> list[TvSummaryRow]:
     """Mean total-variation distance per cell group, over records that carry
     one (methods producing a pooled state correction)."""
-    groups: dict = {}
-    for rec in records:
-        if rec.tv_distance is None:
-            continue
-        key = (rec.environment, rec.method, rec.num_trajectories, rec.horizon)
-        groups.setdefault(key, []).append(rec.tv_distance)
-    rows = []
-    for key in sorted(groups):
-        tv = np.asarray(groups[key])
-        stderr = float(tv.std(ddof=1) / np.sqrt(len(tv))) if len(tv) > 1 else 0.0
-        rows.append(TvSummaryRow(*key, len(tv), float(tv.mean()), stderr))
-    return rows
+    return [TvSummaryRow(*key, n, mean, stderr)
+            for key, n, mean, stderr in _group_stats(records, lambda r: r.tv_distance)]
 
 
 def _format_cell(value) -> str:

@@ -34,17 +34,15 @@ class WeightVector:
         return len(self.weights)
 
 
-def estimate_policy_mle(data: TransitionDataset, num_states: int, num_actions: int,
-                        smoothing: float = 0.0) -> TabularPolicy:
+def estimate_policy_mle(data: TransitionDataset, num_states: int,
+                        num_actions: int) -> TabularPolicy:
     """Count-frequency (maximum likelihood) estimate of the data-generating
     policy, respecting sample weights.
 
-    Rows of states never visited fall back to uniform.  ``smoothing`` adds a
-    pseudo-count per (s, a) cell; the default 0 is the plain MLE.
+    Rows of states never visited fall back to uniform.
     """
     counts = np.zeros((num_states, num_actions))
     np.add.at(counts, (data.s, data.a), data.weights)
-    counts += smoothing
     row_sums = counts.sum(axis=1)
     probs = np.full((num_states, num_actions), 1.0 / num_actions)
     visited = row_sums > 0

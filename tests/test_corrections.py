@@ -4,8 +4,8 @@ import pytest
 from empbench import (CorrectionVector, DegenerateReference, KernelSpec, QuadraticForm,
                       SolverParams, TabularPolicy, TransitionDataset,
                       assemble_state_action_quadratic, assemble_state_quadratic,
-                      build_singlepath, importance_ratio, learn_bch, learn_bch_pooled,
-                      learn_emp, learn_sadl, population_dataset, sample_trajectories,
+                      build_singlepath, importance_ratios, learn_bch, learn_emp,
+                      learn_sadl, population_dataset, sample_trajectories,
                       solve_normalized_quadratic, stationary_distribution, tv_distance)
 from empbench.policies import empirical_state_distribution
 
@@ -27,20 +27,39 @@ class TestImportanceRatio:
     def test_identical_policies(self):
         rng = np.random.default_rng(0)
         policy = random_policy(rng, 3, 2)
-        assert importance_ratio(policy, policy, 1, 0) == 1.0
+        data = random_dataset(rng, 3, 2, 10)
+        np.testing.assert_array_equal(importance_ratios(data, policy, policy), 1.0)
 
     def test_simple_ratio(self):
         target = TabularPolicy(np.array([[0.6, 0.4]]))
         denom = TabularPolicy(np.array([[0.3, 0.7]]))
-        assert importance_ratio(target, denom, 0, 0) == pytest.approx(2.0)
+        data = TransitionDataset(s=[0], a=[0], sp=[0], r=[0.0])
+        assert importance_ratios(data, target, denom)[0] == pytest.approx(2.0)
 
     def test_matches_direct_division(self):
         rng = np.random.default_rng(1)
         target, denom = random_policy(rng, 4, 3), random_policy(rng, 4, 3)
-        for s in range(4):
-            for a in range(3):
-                assert importance_ratio(target, denom, s, a) == pytest.approx(
-                    target.probs[s, a] / denom.probs[s, a], rel=1e-12)
+        s, a = np.divmod(np.arange(12), 3)
+        data = TransitionDataset(s=s, a=a, sp=s, r=np.zeros(12))
+        rho = importance_ratios(data, target, denom)
+        for i in range(12):
+            assert rho[i] == pytest.approx(
+                target.probs[s[i], a[i]] / denom.probs[s[i], a[i]], rel=1e-12)
+
+    def test_per_label_policies_index_by_label(self):
+        rng = np.random.default_rng(2)
+        target = random_policy(rng, 3, 2)
+        behaviors = [random_policy(rng, 3, 2), random_policy(rng, 3, 2)]
+        data = random_dataset(rng, 3, 2, 20)
+        data.labels = rng.integers(0, 2, 20)
+        rho = importance_ratios(data, target, behaviors)
+        for j, behavior in enumerate(behaviors):
+            group = data.subset(data.labels == j)
+            np.testing.assert_array_equal(rho[data.labels == j],
+                                          importance_ratios(group, target, behavior))
+        data.labels[0] = 2
+        with pytest.raises(ValueError):
+            importance_ratios(data, target, behaviors)
 
 
 class TestStateQuadratic:
@@ -91,15 +110,6 @@ class TestStateQuadratic:
         omega = rng.random(4) + 0.5
         for c in (0.5, 2.0, 7.3):
             assert qf.value(c * omega) == pytest.approx(c**2 * qf.value(omega), rel=1e-10)
-
-    def test_dump_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        target, denom = random_policy(rng, 3, 2), random_policy(rng, 3, 2)
-        data = random_dataset(rng, 3, 2, 10)
-        qf = assemble_state_quadratic(data, target, denom, KernelSpec.state_delta(), 3)
-        path = tmp_path / "form.txt"
-        qf.dump(path)
-        np.testing.assert_allclose(np.loadtxt(path), qf.normalized_matrix(), rtol=1e-12)
 
 
 class TestStateActionQuadratic:
@@ -294,12 +304,14 @@ class TestLearnBch:
 
 
 class TestLearnBchPooled:
+    """learn_bch with a list of per-label behaviors as the denominator."""
+
     def test_single_label_bit_identical_to_plain(self, singlepath_policies):
         mdp, behavior, _, target = singlepath_policies
         trajs = sample_trajectories(mdp, behavior, 30, 60, seed=2)
         data = TransitionDataset.from_trajectories(trajs)
         plain = learn_bch(data, target, behavior)
-        pooled = learn_bch_pooled(data, target, [behavior])
+        pooled = learn_bch(data, target, [behavior])
         assert np.array_equal(plain.values, pooled.values)
 
     def test_identical_behaviors_match_plain(self, singlepath_policies):
@@ -307,7 +319,7 @@ class TestLearnBchPooled:
         trajs = sample_trajectories(mdp, behavior, 15, 60, seed=3, label=0)
         trajs += sample_trajectories(mdp, behavior, 15, 60, seed=4, label=1)
         data = TransitionDataset.from_trajectories(trajs)
-        pooled = learn_bch_pooled(data, target, [behavior, behavior])
+        pooled = learn_bch(data, target, [behavior, behavior])
         plain = learn_bch(data, target, behavior)
         assert np.array_equal(pooled.values, plain.values)
 
@@ -316,7 +328,7 @@ class TestLearnBchPooled:
         data = TransitionDataset(s=[0, 1], a=[0, 1], sp=[1, 1], r=[1.0, -1.0])
         from empbench import MissingLabel
         with pytest.raises(MissingLabel):
-            learn_bch_pooled(data, target, [behavior])
+            learn_bch(data, target, [behavior])
 
     def test_two_behavior_population_objective_is_optimal(self, singlepath_policies):
         # the per-label-ratio objective has its own fixed point; verify the
@@ -324,8 +336,7 @@ class TestLearnBchPooled:
         # than asserting a closed-form target
         mdp, b1, b2, target = singlepath_policies
         data = population_dataset(mdp, [b1, b2], weights=[0.5, 0.5])
-        omega = learn_bch_pooled(data, target, [b1, b2],
-                                 solver=SolverParams(iters=60000))
+        omega = learn_bch(data, target, [b1, b2], solver=SolverParams(iters=60000))
         stacked = np.stack([b1.probs, b2.probs])
         rho = target.probs[data.s, data.a] / stacked[data.labels, data.s, data.a]
         # independent objective evaluation on the returned correction

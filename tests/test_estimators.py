@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from empbench import (CorrectionVector, HeuristicTable, MissingLabel, StateDistribution,
-                      TabularPolicy, TransitionDataset, WeightVector, average_reward,
-                      balanced_heuristic, build_singlepath, emp_single_estimate,
-                      kl_emp_estimate, learn_emp, mis_reward_estimate,
-                      ratio_reward_estimate, sadl_reward_estimate, sample_trajectories,
-                      stationary_distribution, stepwise_wis_estimate)
+from empbench import (CorrectionVector, HeuristicTable, KernelSpec, MissingLabel,
+                      SolverParams, StateDistribution, TabularPolicy, TransitionDataset,
+                      WeightVector, average_reward, balanced_heuristic, build_singlepath,
+                      learn_emp, mis_reward_estimate, ratio_reward_estimate, run_method,
+                      sadl_reward_estimate, sample_trajectories, stationary_distribution,
+                      stepwise_wis_estimate)
 from empbench.corrections import StateActionCorrection
 from empbench.policies import empirical_state_distribution, estimate_policy_mle
 
@@ -270,22 +270,28 @@ class TestStepwiseWis:
         assert np.isfinite(est)
 
 
+def run_state_method(method, mdp, target, behaviors, data):
+    estimate, _ = run_method(method, mdp, target, behaviors, [], data,
+                             KernelSpec.state_delta(), SolverParams())
+    return estimate
+
+
 class TestEmpSingle:
     def test_single_label_matches_pooled_pipeline(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
         trajs = sample_trajectories(mdp, behavior, 20, 60, seed=18)
         data = TransitionDataset.from_trajectories(trajs)
-        single = emp_single_estimate(data, target)
+        single = run_state_method("emp-single", mdp, target, [behavior], data)
         omega = learn_emp(data, target)
         pi_hat = estimate_policy_mle(data, 5, 2)
         pooled = ratio_reward_estimate(data, omega, target, pi_hat)
         assert single == pytest.approx(pooled, rel=1e-12)
 
     def test_unlabeled_data_raises(self, singlepath_setup):
-        _, _, _, target = singlepath_setup
+        mdp, b1, b2, target = singlepath_setup
         data = TransitionDataset(s=[0], a=[0], sp=[1], r=[1.0])
         with pytest.raises(MissingLabel):
-            emp_single_estimate(data, target)
+            run_state_method("emp-single", mdp, target, [b1, b2], data)
 
 
 class TestKlEmp:
@@ -293,7 +299,7 @@ class TestKlEmp:
         mdp, behavior, _, target = singlepath_setup
         trajs = sample_trajectories(mdp, behavior, 20, 60, seed=19)
         data = TransitionDataset.from_trajectories(trajs)
-        kl_est = kl_emp_estimate(data, target)
+        kl_est = run_state_method("kl-emp", mdp, target, [behavior], data)
         omega = learn_emp(data, target)
         pi_hat = estimate_policy_mle(data, 5, 2)
         plain = ratio_reward_estimate(data, omega, target, pi_hat)
@@ -311,5 +317,5 @@ class TestKlEmp:
         trajs += sample_trajectories(mdp, behavior, 10, 50, seed=21, label=1)
         data = TransitionDataset.from_trajectories(trajs)
         # runs end to end; label-1 records end up with zero weight
-        est = kl_emp_estimate(data, target)
+        est = run_state_method("kl-emp", mdp, target, [behavior, behavior], data)
         assert np.isfinite(est)

@@ -1,19 +1,27 @@
+import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from empbench import (InvalidConfig, ResultRecord, StateDistribution, average_reward,
+from empbench import (METHOD_NAMES, STATE_METHODS, ExperimentConfig, InvalidConfig,
+                      KernelSpec, ResultRecord, SolverParams, StateDistribution,
+                      TransitionDataset, average_reward, build_environment,
                       build_singlepath, emit_csv, parse_config, read_records_csv,
-                      run_experiment, summarize_mse, summarize_tv, tv_distance)
+                      run_experiment, run_method, summarize_mse, summarize_tv, tv_distance)
 from empbench.cli import main
-from empbench.harness import make_policies
+from empbench.harness import generate_cell_data, make_policies
 
 
 REPO = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data"
 # records.csv of `empbench run demos/singlepath.cfg --seed 0`, written by the
 # per-step sampler and Q-learning loop that the lockstep ones replaced
-GOLDEN_SINGLEPATH = Path(__file__).resolve().parent / "data" / "singlepath_seed0_records.csv"
+GOLDEN_SINGLEPATH = DATA / "singlepath_seed0_records.csv"
+# all nine methods through the CLI; the records were written by the
+# per-method if-chain that the STATE_METHODS table replaced
+GOLDEN_ALLMETHODS = ("allmethods_3behaviors", "allmethods_1behavior")
 
 TINY_CONFIG = """
 environment = singlepath
@@ -156,6 +164,48 @@ class TestRunExperiment:
             run_experiment(cfg, master_seed=-1)
 
 
+@functools.lru_cache(maxsize=None)
+def three_behavior_setup(environment):
+    mdp = build_environment(environment)
+    cfg = ExperimentConfig(environment=environment, behavior_epsilons=[0.2, 0.4, 0.6])
+    target, behaviors = make_policies(mdp, cfg, 0)
+    return mdp, target, behaviors
+
+
+class TestRunMethod:
+    def test_every_method_is_a_table_row_or_special_case(self):
+        assert set(METHOD_NAMES) == set(STATE_METHODS) | {"sadl", "wis"}
+
+    @pytest.mark.parametrize("method", sorted(STATE_METHODS))
+    def test_empty_data_raises(self, method):
+        mdp, target, behaviors = three_behavior_setup("singlepath")
+        empty = TransitionDataset(s=[], a=[], sp=[], r=[], labels=[])
+        with pytest.raises(ValueError):
+            run_method(method, mdp, target, behaviors, [], empty,
+                       KernelSpec.state_delta(), SolverParams())
+
+    @settings(max_examples=25, deadline=None)
+    @given(method=st.sampled_from([m for m in METHOD_NAMES if m != "wis"]),
+           environment=st.sampled_from(["singlepath", "gridworld"]),
+           num_traj=st.sampled_from([2, 9]), data_seed=st.integers(0, 2**32 - 1))
+    def test_doubling_every_weight_changes_nothing(self, method, environment, num_traj,
+                                                   data_seed):
+        # doubling is exact in floating point and every non-wis method is
+        # invariant to a common weight scale, so the results agree bitwise
+        mdp, target, behaviors = three_behavior_setup(environment)
+        trajectories, data = generate_cell_data(mdp, behaviors, num_traj, 40, data_seed)
+        kernel, solver = KernelSpec.state_delta(), SolverParams(iters=2000, seed=data_seed)
+        est, dist = run_method(method, mdp, target, behaviors, trajectories, data,
+                               kernel, solver)
+        doubled = data.with_weights(2.0 * data.weights)
+        est2, dist2 = run_method(method, mdp, target, behaviors, trajectories, doubled,
+                                 kernel, solver)
+        assert est2 == est
+        assert (dist is None) == (dist2 is None)
+        if dist is not None:
+            assert np.array_equal(dist.probs, dist2.probs)
+
+
 class TestEmitCsv:
     def make_record(self, seed=0, tv=None):
         return ResultRecord("singlepath", "emp", 5, 10, seed, 0.5, 0.6,
@@ -277,6 +327,39 @@ class TestCli:
     def test_workers_below_one_exits_2(self, tmp_path, capsys):
         assert main(["run", str(self.write_config(tmp_path)), "--workers", "0"]) == 2
         assert "workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", GOLDEN_ALLMETHODS)
+    def test_all_methods_match_golden_records(self, tmp_path, name):
+        out = tmp_path / "out"
+        assert main(["run", str(DATA / f"{name}.cfg"), "--seed", "0",
+                     "--out", str(out)]) == 0
+        golden = DATA / f"{name}_records.csv"
+        assert (out / "records.csv").read_bytes() == golden.read_bytes()
+
+    def test_tv_matches_golden_summary(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["tv", str(DATA / "allmethods_3behaviors.cfg"), "--seed", "0",
+                     "--out", str(out)]) == 0
+        golden = DATA / "allmethods_3behaviors_tv_summary.csv"
+        assert (out / "tv_summary.csv").read_bytes() == golden.read_bytes()
+
+    def test_kl_methods_run_when_closest_behavior_has_no_records(self, tmp_path):
+        # two trajectories go to the two least KL-close behaviors; the
+        # KL-closest one (epsilon 0.2) logs nothing
+        config = self.write_config(tmp_path, """
+environment = singlepath
+methods = bch-kl-pooled, kl-emp
+num_trajectories = 2
+horizons = 30
+seeds = 3
+behavior.epsilons = 0.6, 0.4, 0.2
+target.episodes = 200
+solver.iters = 3000
+""")
+        assert main(["run", str(config)]) == 0
+        records = read_records_csv(tmp_path / "out" / "records.csv")
+        assert len(records) == 6
+        assert all(np.isfinite(r.estimate) for r in records)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_singlepath_demo_matches_golden_records(self, tmp_path, workers):

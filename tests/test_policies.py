@@ -28,11 +28,6 @@ class TestEstimatePolicyMle:
         policy = estimate_policy_mle(data, num_states=1, num_actions=2)
         np.testing.assert_allclose(policy.probs[0], [0.75, 0.25])
 
-    def test_smoothing_parameter(self):
-        data = TransitionDataset(s=[0, 0], a=[0, 0], sp=[0, 0], r=[0.0, 0.0])
-        policy = estimate_policy_mle(data, 1, 2, smoothing=1.0)
-        np.testing.assert_allclose(policy.probs[0], [0.75, 0.25])
-
     def test_rows_always_stochastic(self):
         rng = np.random.default_rng(0)
         data = TransitionDataset(s=rng.integers(0, 6, 50), a=rng.integers(0, 3, 50),
