@@ -44,14 +44,13 @@ class KernelSpec:
     ``state-delta`` and ``state-action-delta`` are Kronecker deltas on the
     respective index sets; they are universal on finite spaces and admit
     grouped O(N) assembly.  ``gaussian-on-embedding`` is
-    exp(-||e(x) - e(y)||^2 / (2 h^2)) over a per-state embedding (one-hot by
-    default, actions appended one-hot for state-action use); it requires a
-    dense Gram matrix and is intended for small problems.
+    exp(-||e(x) - e(y)||^2 / (2 h^2)) over one-hot state embeddings (actions
+    appended one-hot for state-action use); it requires a dense Gram matrix
+    and is intended for small problems.
     """
 
     kind: str = "state-delta"
     bandwidth: float | None = None
-    embedding: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
@@ -69,30 +68,22 @@ class KernelSpec:
         return cls("state-action-delta")
 
     @classmethod
-    def gaussian(cls, bandwidth: float, embedding: np.ndarray | None = None) -> "KernelSpec":
-        return cls("gaussian-on-embedding", bandwidth, embedding)
+    def gaussian(cls, bandwidth: float) -> "KernelSpec":
+        return cls("gaussian-on-embedding", bandwidth)
 
-    def _embedding_matrix(self, num_states: int) -> np.ndarray:
-        if self.embedding is not None:
-            emb = np.asarray(self.embedding, dtype=np.float64)
-            if emb.shape[0] != num_states:
-                raise ValueError("embedding must have one row per state")
-            return emb
-        return np.eye(num_states)
-
-    def state_gram(self, num_states: int) -> np.ndarray:
-        """Dense Gram matrix over states (gaussian kernel only)."""
-        emb = self._embedding_matrix(num_states)
-        sq = np.sum((emb[:, None, :] - emb[None, :, :]) ** 2, axis=2)
-        return np.exp(-sq / (2.0 * self.bandwidth**2))
-
-    def state_action_gram(self, num_states: int, num_actions: int) -> np.ndarray:
-        """Dense Gram matrix over (s, a) pairs indexed s * A + a."""
-        emb = self._embedding_matrix(num_states)
-        pairs = np.hstack([np.repeat(emb, num_actions, axis=0),
-                           np.tile(np.eye(num_actions), (num_states, 1))])
-        sq = np.sum((pairs[:, None, :] - pairs[None, :, :]) ** 2, axis=2)
-        return np.exp(-sq / (2.0 * self.bandwidth**2))
+    def gram(self, num_states: int, num_actions: int | None = None) -> np.ndarray:
+        """Dense Gram matrix over states, or over (s, a) pairs indexed
+        s * A + a when ``num_actions`` is given (gaussian kernel only).
+        One-hot embeddings differ by a squared distance of 0 or 2 in each
+        part, so entries are exp(-(2[s != s'] + 2[a != a']) / (2 h^2))."""
+        differing = 1 - np.eye(num_states, dtype=np.uint8)  # parts that differ
+        if num_actions is not None:
+            dim = num_states * num_actions
+            action_differs = 1 - np.eye(num_actions, dtype=np.uint8)
+            differing = (differing[:, None, :, None]
+                         + action_differs[None, :, None, :]).reshape(dim, dim)
+        levels = np.exp(-2.0 * np.arange(3) / (2.0 * self.bandwidth**2))
+        return levels[differing]
 
 
 @dataclass
@@ -194,6 +185,19 @@ def importance_ratios(data: TransitionDataset, target: TabularPolicy,
     return target.probs[data.s, data.a] / np.maximum(denom, RATIO_FLOOR)
 
 
+def _kernel_quadratic(left, kernel: KernelSpec, gram, w_total: float) -> QuadraticForm:
+    """The symmetrized form left K left' / W^2 of a sparse factor ``left``:
+    K is the identity for the delta kernels and ``gram()``, a dense Gram
+    matrix, for the gaussian one."""
+    if kernel.kind == "gaussian-on-embedding":
+        dense = left.toarray()
+        mat = dense @ gram() @ dense.T
+    else:
+        mat = (left @ left.T).toarray()
+    mat = 0.5 * (mat + mat.T)
+    return QuadraticForm(mat, left.shape[0], scale=1.0 / w_total**2)
+
+
 def assemble_state_quadratic(data: TransitionDataset, target: TabularPolicy,
                              denom_policy, kernel: KernelSpec,
                              num_states: int) -> QuadraticForm:
@@ -208,6 +212,8 @@ def assemble_state_quadratic(data: TransitionDataset, target: TabularPolicy,
     """
     if len(data) == 0:
         raise ValueError("dataset must be nonempty")
+    if kernel.kind == "state-action-delta":
+        raise ValueError(f"kernel kind {kernel.kind!r} is not a state kernel")
     rho = importance_ratios(data, target, denom_policy)
     # Each record contributes the linear-in-omega residual
     # rho_i omega(s_i) - omega(s'_i), paired through the kernel at the next
@@ -218,16 +224,8 @@ def assemble_state_quadratic(data: TransitionDataset, target: TabularPolicy,
     vals = np.concatenate([data.weights * rho, -data.weights])
     c = sparse.coo_matrix((vals, (rows, cols)),
                           shape=(num_states, num_states)).tocsr()
-    w_total = float(data.weights.sum())
-    if kernel.kind == "state-delta":
-        mat = (c.T @ c).toarray()
-    elif kernel.kind == "gaussian-on-embedding":
-        dense = c.toarray()
-        mat = dense.T @ kernel.state_gram(num_states) @ dense
-    else:
-        raise ValueError(f"kernel kind {kernel.kind!r} is not a state kernel")
-    mat = 0.5 * (mat + mat.T)
-    return QuadraticForm(mat, num_states, scale=1.0 / w_total**2)
+    return _kernel_quadratic(c.T, kernel, lambda: kernel.gram(num_states),
+                             float(data.weights.sum()))
 
 
 def assemble_state_action_quadratic(data: TransitionDataset, target: TabularPolicy,
@@ -261,15 +259,8 @@ def assemble_state_action_quadratic(data: TransitionDataset, target: TabularPoli
     vals = np.concatenate([data.weights * nu[data.a],
                            (-(data.weights * pi_sa)[:, None] * nu[None, :]).ravel()])
     m = sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    w_total = float(data.weights.sum())
-    if kernel.kind == "state-action-delta":
-        mat = (m @ m.T).toarray()
-    else:
-        gram = kernel.state_action_gram(num_states, num_actions)
-        dense = m.toarray()
-        mat = dense @ gram @ dense.T
-    mat = 0.5 * (mat + mat.T)
-    return QuadraticForm(mat, dim, scale=1.0 / w_total**2)
+    return _kernel_quadratic(m, kernel, lambda: kernel.gram(num_states, num_actions),
+                             float(data.weights.sum()))
 
 
 def _lambda_max(matrix, dim: int, seed: int, iters: int = 200) -> float:

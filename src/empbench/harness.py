@@ -50,20 +50,17 @@ class StateMethod:
     estimate from the data the correction is learned on).  ``grouping``:
     ``"pooled"`` (one correction), ``"mean"`` (one per label, estimates
     averaged) or ``"mis"`` (one per label, balanced heuristic).  ``kl``:
-    KL-proximity weights replace the labels' sample proportions.  ``tv``:
-    records carry the implied distribution's TV distance when a single
-    correction covers all records."""
+    KL-proximity weights replace the labels' sample proportions."""
 
     denominator: str
     grouping: str
     kl: bool = False
-    tv: bool = False
 
 
 STATE_METHODS = {
-    "bch": StateMethod("exact", "mean", tv=True),
-    "emp": StateMethod("mle", "pooled", tv=True),
-    "bch-pooled": StateMethod("exact", "pooled", tv=True),
+    "bch": StateMethod("exact", "mean"),
+    "emp": StateMethod("mle", "pooled"),
+    "bch-pooled": StateMethod("exact", "pooled"),
     "bch-kl-pooled": StateMethod("exact", "pooled", kl=True),
     "emp-single": StateMethod("mle", "mean"),
     "kl-emp": StateMethod("mle", "pooled", kl=True),
@@ -118,30 +115,34 @@ class ExperimentConfig:
             raise InvalidConfig("solver.iters must be >= 1")
 
 
+def _list_of(item):
+    return lambda value: [item(v.strip()) for v in value.split(",") if v.strip()]
+
+
+# dotted key -> (section, field, parser); section "" is ExperimentConfig itself
 _CONFIG_KEYS = {
-    "environment": str,
-    "methods": "str_list",
-    "num_trajectories": "int_list",
-    "horizons": "int_list",
-    "seeds": int,
-    "behavior.epsilons": "float_list",
-    "target.episodes": int,
-    "target.epsilon": float,
-    "target.alpha": float,
-    "target.gamma": float,
-    "kernel.kind": str,
-    "kernel.bandwidth": float,
-    "solver.step": float,
-    "solver.iters": int,
-    "solver.seed": int,
-    "output": str,
+    "environment": ("", "environment", str),
+    "methods": ("", "methods", _list_of(str)),
+    "num_trajectories": ("", "num_trajectories", _list_of(int)),
+    "horizons": ("", "horizons", _list_of(int)),
+    "seeds": ("", "seeds", int),
+    "behavior.epsilons": ("", "behavior_epsilons", _list_of(float)),
+    "target.episodes": ("target", "episodes", int),
+    "target.epsilon": ("target", "epsilon", float),
+    "target.alpha": ("target", "alpha", float),
+    "target.gamma": ("target", "gamma", float),
+    "kernel.kind": ("kernel", "kind", str),
+    "kernel.bandwidth": ("kernel", "bandwidth", float),
+    "solver.step": ("solver", "step", float),
+    "solver.iters": ("solver", "iters", int),
+    "output": ("", "output", str),
 }
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key = value config format (lists comma-separated,
-    ``#`` starts a comment)."""
-    raw = {}
+    ``#`` starts a comment); absent keys keep the dataclass defaults."""
+    sections = {"": {}, "target": {}, "kernel": {}, "solver": {}}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -151,41 +152,17 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise InvalidConfig(f"line {lineno}: unknown key {key!r}")
-        kind = _CONFIG_KEYS[key]
+        section, name, parse = _CONFIG_KEYS[key]
         try:
-            if kind == "str_list":
-                raw[key] = [v.strip() for v in value.split(",") if v.strip()]
-            elif kind == "int_list":
-                raw[key] = [int(v) for v in value.split(",") if v.strip()]
-            elif kind == "float_list":
-                raw[key] = [float(v) for v in value.split(",") if v.strip()]
-            else:
-                raw[key] = kind(value)
+            sections[section][name] = parse(value)
         except ValueError as exc:
             raise InvalidConfig(f"line {lineno}: bad value for {key!r}: {exc}") from None
-
-    cfg = ExperimentConfig()
-    cfg.target = PolicySpec(
-        episodes=raw.get("target.episodes", cfg.target.episodes),
-        epsilon=raw.get("target.epsilon", cfg.target.epsilon),
-        alpha=raw.get("target.alpha", cfg.target.alpha),
-        gamma=raw.get("target.gamma", cfg.target.gamma),
-    )
-    cfg.environment = raw.get("environment", cfg.environment)
-    cfg.methods = raw.get("methods", cfg.methods)
-    cfg.num_trajectories = raw.get("num_trajectories", cfg.num_trajectories)
-    cfg.horizons = raw.get("horizons", cfg.horizons)
-    cfg.seeds = raw.get("seeds", cfg.seeds)
-    cfg.behavior_epsilons = raw.get("behavior.epsilons", cfg.behavior_epsilons)
-    cfg.output = raw.get("output", cfg.output)
-    kind = raw.get("kernel.kind", "state-delta")
-    try:
-        cfg.kernel = KernelSpec(kind, raw.get("kernel.bandwidth"))
+    try:  # KernelSpec validates its fields
+        cfg = ExperimentConfig(**sections[""], target=PolicySpec(**sections["target"]),
+                               kernel=KernelSpec(**sections["kernel"]),
+                               solver=SolverParams(**sections["solver"]))
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from None
-    cfg.solver = SolverParams(step=raw.get("solver.step"),
-                              iters=raw.get("solver.iters", 20000),
-                              seed=raw.get("solver.seed", 0))
     cfg.validate()
     return cfg
 
@@ -299,15 +276,16 @@ def _run_state_method(spec: StateMethod, target, behaviors, data: TransitionData
         data = _kl_reweighted(spec, data, target, behaviors)
     if spec.grouping == "pooled":
         omega, denom = _fit(spec, data, target, behaviors, kernel, solver)
-        dist = omega.implied_distribution() if spec.tv else None
-        return ratio_reward_estimate(data, omega, target, denom), dist
+        estimate = ratio_reward_estimate(data, omega, target, denom)
+        return estimate, omega.implied_distribution()
     groups = [data.subset(data.labels == j) for j in range(len(behaviors))]
     fits = [_fit(spec, sub, target, behaviors, kernel, solver) if len(sub)
             else (None, None) for sub in groups]
+    learned = [omega for omega, _ in fits if omega is not None]
+    dist = learned[0].implied_distribution() if len(learned) == 1 else None
     if spec.grouping == "mean":
         estimates = [ratio_reward_estimate(sub, omega, target, denom)
                      for sub, (omega, denom) in zip(groups, fits) if len(sub)]
-        dist = fits[0][0].implied_distribution() if spec.tv and len(groups) == 1 else None
         return float(np.mean(estimates)), dist
     num_states = target.num_states
     counts = np.array([len(sub) for sub in groups], dtype=np.float64)
@@ -316,14 +294,14 @@ def _run_state_method(spec: StateMethod, target, behaviors, data: TransitionData
              for sub in groups]
     heur = balanced_heuristic(WeightVector(counts / counts.sum()), dists)
     omegas, denoms = zip(*fits)
-    return mis_reward_estimate(data, omegas, denoms, target, heur), None
+    return mis_reward_estimate(data, omegas, denoms, target, heur), dist
 
 
 def run_method(method: str, mdp, target, behaviors, trajectories,
                data: TransitionDataset, kernel: KernelSpec, solver: SolverParams):
     """Dispatch one method (a ``STATE_METHODS`` row, ``sadl`` or ``wis``);
-    returns (estimate, implied state distribution or None for methods
-    without a single pooled state correction)."""
+    returns (estimate, implied state distribution, or None unless the
+    method learned a single state correction in this cell)."""
     if data.labels is None:
         if len(behaviors) > 1:
             raise MissingLabel("multi-behavior data must carry per-record labels")
@@ -446,7 +424,7 @@ class TvSummaryRow:
 
 def summarize_tv(records) -> list[TvSummaryRow]:
     """Mean total-variation distance per cell group, over records that carry
-    one (methods producing a pooled state correction)."""
+    one (those whose method learned a single state correction)."""
     return [TvSummaryRow(*key, n, mean, stderr)
             for key, n, mean, stderr in _group_stats(records, lambda r: r.tv_distance)]
 
@@ -476,22 +454,15 @@ def emit_csv(rows, path) -> None:
             writer.writerow([_format_cell(getattr(row, name)) for name in names])
 
 
+# inverse of _format_cell per field type; an empty optional cell is None
+_CELL_PARSERS = {str: str, int: int, float: float,
+                 float | None: lambda text: float(text) if text else None}
+
+
 def read_records_csv(path) -> list[ResultRecord]:
     """Parse a records CSV back into ResultRecord rows (round-trip of
-    emit_csv)."""
-    records = []
+    emit_csv), each column by its field's type."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(ResultRecord(
-                environment=row["environment"],
-                method=row["method"],
-                num_trajectories=int(row["num_trajectories"]),
-                horizon=int(row["horizon"]),
-                seed=int(row["seed"]),
-                estimate=float(row["estimate"]),
-                true_value=float(row["true_value"]),
-                squared_error=float(row["squared_error"]),
-                tv_distance=float(row["tv_distance"]) if row["tv_distance"] else None,
-                wall_time_ms=int(row["wall_time_ms"]),
-            ))
-    return records
+        return [ResultRecord(**{f.name: _CELL_PARSERS[f.type](row[f.name])
+                                for f in fields(ResultRecord)})
+                for row in csv.DictReader(fh)]

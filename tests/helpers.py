@@ -90,6 +90,17 @@ def naive_state_action_objective(data, target, nu, kfunc, u):
     return total / w.sum() ** 2
 
 
+def one_hot_gaussian_gram(bandwidth, num_states, num_actions=None):
+    """Gaussian Gram matrix from explicit one-hot embeddings, one row per
+    state or, with ``num_actions``, per (s, a) pair indexed s * A + a with the
+    action's one-hot block appended; O(n^3) memory, small sizes only."""
+    emb = np.eye(num_states)
+    if num_actions is not None:
+        emb = np.hstack([np.repeat(emb, num_actions, axis=0),
+                         np.tile(np.eye(num_actions), (num_states, 1))])
+    sq = np.sum((emb[:, None, :] - emb[None, :, :]) ** 2, axis=2)
+    return np.exp(-sq / (2.0 * bandwidth**2))
+
 def _reference_draw(cdf_cache, table, key, rng) -> int:
     cdf = cdf_cache.get(key)
     if cdf is None:

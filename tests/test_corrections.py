@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,9 @@ from empbench import (CorrectionVector, DegenerateReference, KernelSpec, Quadrat
                       solve_normalized_quadratic, stationary_distribution, tv_distance)
 from empbench.policies import empirical_state_distribution
 
-from helpers import (naive_state_action_objective, naive_state_quadratic, random_mdp,
-                     random_policy, random_soft_policy, stationary_start)
+from helpers import (naive_state_action_objective, naive_state_quadratic,
+                     one_hot_gaussian_gram, random_mdp, random_policy, random_soft_policy,
+                     stationary_start)
 
 
 def random_dataset(rng, num_states, num_actions, n, unit_weights=True):
@@ -170,6 +173,27 @@ class TestStateActionQuadratic:
             assemble_state_action_quadratic(data, target, [0.5, 0.5],
                                             KernelSpec.state_delta(), 3, 2)
 
+
+class TestGaussianGram:
+    @pytest.mark.parametrize("num_states", [5, 16])
+    @pytest.mark.parametrize("num_actions", [None, 2, 4])
+    @pytest.mark.parametrize("bandwidth", [0.3, 1.0, 2.7])
+    def test_matches_one_hot_embedding(self, num_states, num_actions, bandwidth):
+        gram = KernelSpec.gaussian(bandwidth).gram(num_states, num_actions)
+        oracle = one_hot_gaussian_gram(bandwidth, num_states, num_actions)
+        assert gram.dtype == oracle.dtype and np.array_equal(gram, oracle)
+
+    def test_taxi_sized_state_gram_stays_small(self):
+        # an explicit embedding difference tensor would take 64 GB here
+        tracemalloc.start()
+        try:
+            gram = KernelSpec.gaussian(1.0).gram(2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert gram.shape == (2000, 2000)
+        assert np.all(np.diag(gram) == 1.0) and gram[0, 1] == np.exp(-1.0)
 
 def enumerate_active_sets(matrix, reference):
     """Constrained-QP oracle for small dimensions: solve the KKT system for

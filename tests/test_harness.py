@@ -1,4 +1,7 @@
 import functools
+import math
+import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -6,21 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from empbench import (METHOD_NAMES, STATE_METHODS, ExperimentConfig, InvalidConfig,
-                      KernelSpec, ResultRecord, SolverParams, StateDistribution,
+                      KernelSpec, PolicySpec, ResultRecord, SolverParams, StateDistribution,
                       TransitionDataset, average_reward, build_environment,
                       build_singlepath, emit_csv, parse_config, read_records_csv,
                       run_experiment, run_method, summarize_mse, summarize_tv, tv_distance)
 from empbench.cli import main
-from empbench.harness import generate_cell_data, make_policies
+from empbench.harness import _CONFIG_KEYS, generate_cell_data, make_policies
 
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
-# records.csv of `empbench run demos/singlepath.cfg --seed 0`, written by the
-# per-step sampler and Q-learning loop that the lockstep ones replaced
+# records.csv of `empbench run demos/singlepath.cfg --seed 0`
 GOLDEN_SINGLEPATH = DATA / "singlepath_seed0_records.csv"
-# all nine methods through the CLI; the records were written by the
-# per-method if-chain that the STATE_METHODS table replaced
+# all nine methods through the CLI, records.csv of each config at --seed 0
 GOLDEN_ALLMETHODS = ("allmethods_3behaviors", "allmethods_1behavior")
 
 TINY_CONFIG = """
@@ -55,7 +56,50 @@ class TestTvDistance:
             assert 0.0 <= tv_distance(p, q) <= 1.0
 
 
+# each config key, a non-default value for it, and the edit that value must
+# make to the default config
+KEY_CASES = {
+    "environment": ("gridworld", lambda c: replace(c, environment="gridworld")),
+    "methods": ("emp, sadl", lambda c: replace(c, methods=["emp", "sadl"])),
+    "num_trajectories": ("7, 9", lambda c: replace(c, num_trajectories=[7, 9])),
+    "horizons": ("11", lambda c: replace(c, horizons=[11])),
+    "seeds": ("3", lambda c: replace(c, seeds=3)),
+    "behavior.epsilons": ("0.5, 0.25",
+                          lambda c: replace(c, behavior_epsilons=[0.5, 0.25])),
+    "target.episodes": ("17", lambda c: replace(c, target=PolicySpec(episodes=17))),
+    "target.epsilon": ("0.35", lambda c: replace(c, target=PolicySpec(epsilon=0.35))),
+    "target.alpha": ("0.45", lambda c: replace(c, target=PolicySpec(alpha=0.45))),
+    "target.gamma": ("0.5", lambda c: replace(c, target=PolicySpec(gamma=0.5))),
+    "kernel.kind": ("state-action-delta",
+                    lambda c: replace(c, kernel=KernelSpec.state_action_delta())),
+    "kernel.bandwidth": ("1.5", lambda c: replace(c, kernel=KernelSpec(bandwidth=1.5))),
+    "solver.step": ("0.25", lambda c: replace(c, solver=SolverParams(step=0.25))),
+    "solver.iters": ("123", lambda c: replace(c, solver=SolverParams(iters=123))),
+    "output": ("elsewhere", lambda c: replace(c, output="elsewhere")),
+}
+
+
 class TestParseConfig:
+    def test_empty_config_is_the_default(self):
+        assert parse_config("") == ExperimentConfig()
+
+    def test_every_key_has_a_case(self):
+        assert set(KEY_CASES) == set(_CONFIG_KEYS)
+
+    @pytest.mark.parametrize("key", sorted(KEY_CASES))
+    def test_key_sets_only_its_field(self, key):
+        value, expected = KEY_CASES[key]
+        assert parse_config(f"{key} = {value}\n") == expected(ExperimentConfig())
+
+    def test_solver_seed_is_not_a_key(self):
+        # solver seeds derive from the master seed and the cell, per method
+        with pytest.raises(InvalidConfig, match="line 1: unknown key 'solver.seed'"):
+            parse_config("solver.seed = 1\n")
+
+    def test_kernel_error_is_invalid_config(self):
+        with pytest.raises(InvalidConfig, match="bandwidth"):
+            parse_config("kernel.kind = gaussian-on-embedding\n")
+
     def test_full_config(self):
         cfg = parse_config(TINY_CONFIG)
         assert cfg.environment == "singlepath"
@@ -165,9 +209,9 @@ class TestRunExperiment:
 
 
 @functools.lru_cache(maxsize=None)
-def three_behavior_setup(environment):
+def behavior_setup(environment, epsilons=(0.2, 0.4, 0.6)):
     mdp = build_environment(environment)
-    cfg = ExperimentConfig(environment=environment, behavior_epsilons=[0.2, 0.4, 0.6])
+    cfg = ExperimentConfig(environment=environment, behavior_epsilons=list(epsilons))
     target, behaviors = make_policies(mdp, cfg, 0)
     return mdp, target, behaviors
 
@@ -178,11 +222,31 @@ class TestRunMethod:
 
     @pytest.mark.parametrize("method", sorted(STATE_METHODS))
     def test_empty_data_raises(self, method):
-        mdp, target, behaviors = three_behavior_setup("singlepath")
+        mdp, target, behaviors = behavior_setup("singlepath")
         empty = TransitionDataset(s=[], a=[], sp=[], r=[], labels=[])
         with pytest.raises(ValueError):
             run_method(method, mdp, target, behaviors, [], empty,
                        KernelSpec.state_delta(), SolverParams())
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_one_behavior_reports_tv_for_every_state_method(self, method):
+        mdp, target, behaviors = behavior_setup("singlepath", (0.3,))
+        trajectories, data = generate_cell_data(mdp, behaviors, 4, 30, 0)
+        _, dist = run_method(method, mdp, target, behaviors, trajectories, data,
+                             KernelSpec.state_delta(), SolverParams(iters=2000))
+        assert (dist is not None) == (method in STATE_METHODS)
+
+    @pytest.mark.parametrize("method", sorted(STATE_METHODS))
+    def test_grouped_methods_report_tv_only_for_one_label(self, method):
+        # three behaviors: one trajectory fills one label, three fill all
+        mdp, target, behaviors = behavior_setup("singlepath")
+        reported = []
+        for num_traj in (1, 3):
+            trajectories, data = generate_cell_data(mdp, behaviors, num_traj, 30, 0)
+            _, dist = run_method(method, mdp, target, behaviors, trajectories, data,
+                                 KernelSpec.state_delta(), SolverParams(iters=2000))
+            reported.append(dist is not None)
+        assert reported == [True, STATE_METHODS[method].grouping == "pooled"]
 
     @settings(max_examples=25, deadline=None)
     @given(method=st.sampled_from([m for m in METHOD_NAMES if m != "wis"]),
@@ -192,7 +256,7 @@ class TestRunMethod:
                                                    data_seed):
         # doubling is exact in floating point and every non-wis method is
         # invariant to a common weight scale, so the results agree bitwise
-        mdp, target, behaviors = three_behavior_setup(environment)
+        mdp, target, behaviors = behavior_setup(environment)
         trajectories, data = generate_cell_data(mdp, behaviors, num_traj, 40, data_seed)
         kernel, solver = KernelSpec.state_delta(), SolverParams(iters=2000, seed=data_seed)
         est, dist = run_method(method, mdp, target, behaviors, trajectories, data,
@@ -206,10 +270,21 @@ class TestRunMethod:
             assert np.array_equal(dist.probs, dist2.probs)
 
 
+# cell text with CSV delimiters, quotes, a newline and non-ASCII characters
+CELL_TEXT = st.text('ab ,;"\'\n\u00e9\u20ac')
+
+
+def same_cell(a, b) -> bool:
+    """Equal values of one type, nan equal to nan."""
+    if type(a) is not type(b):
+        return False
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
 class TestEmitCsv:
-    def make_record(self, seed=0, tv=None):
-        return ResultRecord("singlepath", "emp", 5, 10, seed, 0.5, 0.6,
-                            0.010000000000000002, tv, 0)
+    def make_record(self):
+        return ResultRecord("singlepath", "emp", 5, 10, 0, 0.5, 0.6,
+                            0.010000000000000002, None, 0)
 
     def test_empty_records_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -223,12 +298,23 @@ class TestEmitCsv:
         emit_csv([self.make_record()], path)
         assert len(path.read_text(encoding="utf-8").splitlines()) == 2
 
-    def test_round_trip(self, tmp_path):
-        records = [self.make_record(seed=k, tv=(0.25 if k % 2 else None))
-                   for k in range(4)]
-        path = tmp_path / "roundtrip.csv"
-        emit_csv(records, path)
-        assert read_records_csv(path) == records
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(ResultRecord, environment=CELL_TEXT, method=CELL_TEXT,
+                              estimate=st.floats(), true_value=st.floats(),
+                              squared_error=st.floats(),
+                              tv_distance=st.none() | st.floats())))
+    def test_round_trip(self, records):
+        # st.floats() draws nan and +-inf too
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "roundtrip.csv"
+            emit_csv(records, path)
+            parsed = read_records_csv(path)
+        records.sort(key=lambda r: (r.environment, r.method, r.num_trajectories,
+                                    r.horizon, r.seed))
+        assert len(parsed) == len(records)
+        for got, want in zip(parsed, records):
+            for f in fields(ResultRecord):
+                assert same_cell(getattr(got, f.name), getattr(want, f.name)), f.name
 
     def test_rows_sorted(self, tmp_path):
         a = ResultRecord("singlepath", "emp", 5, 10, 1, 0.5, 0.6, 0.01, None, 0)
@@ -320,6 +406,11 @@ class TestCli:
         bad = tmp_path / "bad.txt"
         bad.write_text("methods = nope\n", encoding="utf-8")
         assert main(["run", str(bad)]) == 2
+
+    def test_solver_seed_key_exits_2(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, TINY_CONFIG + "solver.seed = 1\n")
+        assert main(["run", str(config)]) == 2
+        assert "unknown key 'solver.seed'" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.txt")]) == 2
