@@ -25,17 +25,22 @@ from .mdp import average_reward, stationary_distribution
 
 def _out_dir(cfg, args) -> Path:
     out = Path(args.out if args.out is not None else cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidConfig(f"cannot create output directory {str(out)!r}: "
+                            f"{exc.strerror or exc}") from None
     return out
 
 
 def _sweep(args, summarize, summary_name: str):
     """Run the config's sweep and write records.csv plus its summary;
-    returns the records, the summary rows and the output directory."""
+    returns the records, the summary rows and the output directory, which
+    is created before the sweep starts."""
     cfg = load_config(args.config)
+    out = _out_dir(cfg, args)
     records = run_experiment(cfg, master_seed=args.seed, workers=args.workers,
                              measure_time=args.timings)
-    out = _out_dir(cfg, args)
     emit_csv(records, out / "records.csv")
     rows = summarize(records)
     emit_csv(rows, out / summary_name)
@@ -69,7 +74,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_env_check(args) -> int:
     mdp = build_environment(args.environment)  # constructor validates invariants
-    rows = mdp.transition.sum(axis=2)
+    rows = np.asarray(mdp.transition_rows.sum(axis=1))
     print(f"environment = {args.environment}")
     print(f"num_states = {mdp.num_states}")
     print(f"num_actions = {mdp.num_actions}")
@@ -120,9 +125,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except InvalidConfig as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

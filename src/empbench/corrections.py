@@ -58,6 +58,8 @@ class KernelSpec:
         if self.kind == "gaussian-on-embedding":
             if self.bandwidth is None or self.bandwidth <= 0:
                 raise ValueError("gaussian kernel requires a positive bandwidth")
+        elif self.bandwidth is not None:
+            raise ValueError(f"kernel kind {self.kind!r} takes no bandwidth")
 
     @classmethod
     def state_delta(cls) -> "KernelSpec":
@@ -88,30 +90,50 @@ class KernelSpec:
 
 @dataclass
 class QuadraticForm:
-    """Symmetric PSD form representing an objective x -> scale * x' matrix x.
+    """Symmetric PSD form representing an objective x -> scale * x' A x.
 
-    The data-average normalization (1 / total-weight-squared) is kept as the
+    ``entries`` holds A as a dense array or, for the delta kernels, as a
+    CSR matrix in canonical form; :attr:`matrix` is always dense.  The
+    data-average normalization (1 / total-weight-squared) is kept as the
     separate ``scale`` scalar instead of being folded into the entries: with
     unit sample weights the accumulated Gram matrix is integer-valued, so
     exact cancellations (for example a residual that is identically zero on
     on-policy data) survive in floating point.
     """
 
-    matrix: np.ndarray
+    entries: np.ndarray | sparse.csr_matrix
     dim: int
     scale: float = 1.0
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if self.matrix.shape != (self.dim, self.dim):
+        if sparse.issparse(self.entries):
+            self.entries = self.entries.tocsr().astype(np.float64, copy=False)
+        else:
+            self.entries = np.asarray(self.entries, dtype=np.float64)
+        if self.entries.shape != (self.dim, self.dim):
             raise ValueError(f"matrix must be ({self.dim}, {self.dim})")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """A as a dense array; built on every access when the entries are
+        sparse."""
+        if sparse.issparse(self.entries):
+            return self.entries.toarray()
+        return self.entries
+
+    @property
+    def nnz(self) -> int:
+        """Number of nonzero entries of A."""
+        if sparse.issparse(self.entries):
+            return self.entries.nnz
+        return int(np.count_nonzero(self.entries))
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)
-        return self.scale * float(x @ (self.matrix @ x))
+        return self.scale * float(x @ (self.entries @ x))
 
     def normalized_matrix(self) -> np.ndarray:
-        """The objective's matrix with the scale folded in."""
+        """The objective's matrix with the scale folded in, dense."""
         return self.scale * self.matrix
 
 
@@ -187,14 +209,19 @@ def importance_ratios(data: TransitionDataset, target: TabularPolicy,
 
 def _kernel_quadratic(left, kernel: KernelSpec, gram, w_total: float) -> QuadraticForm:
     """The symmetrized form left K left' / W^2 of a sparse factor ``left``:
-    K is the identity for the delta kernels and ``gram()``, a dense Gram
-    matrix, for the gaussian one."""
+    K is the identity for the delta kernels, which keeps the form sparse, and
+    ``gram()``, a dense Gram matrix, for the gaussian one."""
     if kernel.kind == "gaussian-on-embedding":
         dense = left.toarray()
         mat = dense @ gram() @ dense.T
+        mat = 0.5 * (mat + mat.T)
     else:
-        mat = (left @ left.T).toarray()
-    mat = 0.5 * (mat + mat.T)
+        mat = left @ left.T
+        # entry (i, j) is 0.5 * (P[i, j] + P[j, i]), as in a dense symmetrization
+        mat = mat.tocsr() + mat.T
+        mat.data *= 0.5
+        mat.eliminate_zeros()
+        mat.sort_indices()
     return QuadraticForm(mat, left.shape[0], scale=1.0 / w_total**2)
 
 
@@ -300,10 +327,11 @@ def solve_normalized_quadratic(A: QuadraticForm, reference, step: float | None =
         raise ValueError("reference must be nonnegative")
     if reference.sum() <= 0:
         raise DegenerateReference("reference has no mass anywhere")
-    matrix = A.matrix
     scale = A.scale
-    if A.dim >= 512 and np.count_nonzero(matrix) < 0.25 * A.dim**2:
-        matrix = sparse.csr_matrix(matrix)  # matvec speed only; same iterates
+    if A.dim >= 512 and A.nnz < 0.25 * A.dim**2:
+        matrix = sparse.csr_matrix(A.entries)  # matvec speed only; same iterates
+    else:
+        matrix = A.matrix
     x = np.ones(A.dim)
     x /= reference @ x
     if step is None:

@@ -5,6 +5,7 @@ policy), so infinite-horizon average reward is well defined.
 """
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .mdp import TabularMDP
 
@@ -13,15 +14,13 @@ TAXI_CORNERS = (0, 4, 20, 24)  # cell indices of the four corners, row-major
 TAXI_PASSENGER_RATE = 0.05     # per-corner appearance/disappearance probability
 
 
-def _taxi_state(cell: int, passengers: int, status: int) -> int:
-    # passengers is a 4-bit mask over corners, status 0 = empty taxi and
-    # 1 + d = carrying a passenger bound for corner d
-    return cell * 80 + passengers * 5 + status
-
-
 def build_taxi() -> TabularMDP:
     """5x5 taxi world: 2000 states (25 cells x 16 passenger masks x 5 taxi
     statuses) and 6 actions (move N/E/S/W, pick up, drop off).
+
+    State index = cell * 80 + passengers * 5 + status, where passengers is
+    a 4-bit mask over the corners and status 0 = empty taxi and 1 + d =
+    carrying a passenger bound for corner d.
 
     Rewards: +20 for a valid pickup or for dropping a passenger at their
     destination corner, -1 otherwise.  Between steps every corner gains or
@@ -33,59 +32,61 @@ def build_taxi() -> TabularMDP:
     mask drawn from its own stationary law (uniform over the 16 masks, since
     appearance and disappearance rates are equal), so early steps are not
     systematically passenger-starved.
+
+    The transitions are built as sparse triplets: every (s, a) has one core
+    outcome, or four for a valid pickup, each spread over the 16 passenger
+    flip patterns, and no (s, a, s') is reached twice.
     """
     num_states = 25 * 16 * 5
     num_actions = 6
-    transition = np.zeros((num_states, num_actions, num_states))
-    reward = np.full((num_states, num_actions), -1.0)
 
     # probability of each 4-bit flip pattern applied to the passenger mask
     rate = TAXI_PASSENGER_RATE
-    flip_probs = np.empty(16)
-    for pattern in range(16):
-        k = bin(pattern).count("1")
-        flip_probs[pattern] = rate**k * (1.0 - rate) ** (4 - k)
+    flip_probs = np.array([rate**k * (1.0 - rate) ** (4 - k)
+                           for k in (bin(pattern).count("1") for pattern in range(16))])
 
-    corner_of_cell = {cell: i for i, cell in enumerate(TAXI_CORNERS)}
+    s = np.arange(num_states)
+    cell, passengers, status = s // 80, s // 5 % 16, s % 5
+    row, col = np.divmod(cell, TAXI_GRID)
+    corners = np.array(TAXI_CORNERS)
+    corner_of_cell = np.full(25, -1)
+    corner_of_cell[corners] = np.arange(4)
+    corner = corner_of_cell[cell]  # -1 off the corners
+    can_pick = (status == 0) & (corner >= 0) & (passengers >> np.maximum(corner, 0) & 1 == 1)
+    can_drop = (status > 0) & (cell == corners[np.maximum(status - 1, 0)])
+    reward = np.full((num_states, num_actions), -1.0)
+    reward[can_pick, 4] = 20.0
+    reward[can_drop, 5] = 20.0
 
-    for cell in range(25):
-        row, col = divmod(cell, TAXI_GRID)
-        moved = [
-            cell - TAXI_GRID if row > 0 else cell,              # north
-            cell + 1 if col < TAXI_GRID - 1 else cell,          # east
-            cell + TAXI_GRID if row < TAXI_GRID - 1 else cell,  # south
-            cell - 1 if col > 0 else cell,                      # west
-        ]
-        for passengers in range(16):
-            for status in range(5):
-                s = _taxi_state(cell, passengers, status)
-                for action in range(num_actions):
-                    # core outcomes: (probability, cell', passengers', status')
-                    if action < 4:
-                        outcomes = [(1.0, moved[action], passengers, status)]
-                    elif action == 4:  # pick up
-                        corner = corner_of_cell.get(cell)
-                        if status == 0 and corner is not None and passengers >> corner & 1:
-                            reward[s, action] = 20.0
-                            cleared = passengers & ~(1 << corner)
-                            outcomes = [(0.25, cell, cleared, 1 + d) for d in range(4)]
-                        else:
-                            outcomes = [(1.0, cell, passengers, status)]
-                    else:  # drop off
-                        if status > 0 and cell == TAXI_CORNERS[status - 1]:
-                            reward[s, action] = 20.0
-                            outcomes = [(1.0, cell, passengers, 0)]
-                        else:
-                            outcomes = [(1.0, cell, passengers, status)]
-                    for prob, cell2, pass2, status2 in outcomes:
-                        for pattern in range(16):
-                            s2 = _taxi_state(cell2, pass2 ^ pattern, status2)
-                            transition[s, action, s2] += prob * flip_probs[pattern]
+    # core outcomes: (row s * 6 + a, probability, cell', passengers', status')
+    moved = [
+        np.where(row > 0, cell - TAXI_GRID, cell),              # north
+        np.where(col < TAXI_GRID - 1, cell + 1, cell),          # east
+        np.where(row < TAXI_GRID - 1, cell + TAXI_GRID, cell),  # south
+        np.where(col > 0, cell - 1, cell),                      # west
+    ]
+    ones = np.ones(num_states)
+    outcomes = [(s * num_actions + a, ones, moved[a], passengers, status) for a in range(4)]
+    stay = ~can_pick
+    outcomes.append((s[stay] * num_actions + 4, ones[stay], cell[stay], passengers[stay],
+                     status[stay]))
+    picked = s[can_pick]
+    cleared = passengers[can_pick] & ~(1 << corner[can_pick])
+    outcomes += [(picked * num_actions + 4, np.full(len(picked), 0.25), cell[can_pick],
+                  cleared, np.full(len(picked), 1 + d)) for d in range(4)]
+    outcomes.append((s * num_actions + 5, ones, cell, passengers,
+                     np.where(can_drop, 0, status)))
+    rows, probs, cell2, pass2, status2 = (np.concatenate(part) for part in zip(*outcomes))
+
+    pattern = np.arange(16)
+    next_states = cell2[:, None] * 80 + (pass2[:, None] ^ pattern) * 5 + status2[:, None]
+    transitions = sparse.coo_matrix(
+        ((probs[:, None] * flip_probs).ravel(), (np.repeat(rows, 16), next_states.ravel())),
+        shape=(num_states * num_actions, num_states))
 
     initial = np.zeros(num_states)
-    for passengers in range(16):
-        initial[_taxi_state(12, passengers, 0)] = 1.0 / 16.0
-    return TabularMDP(transition, reward, initial)
+    initial[12 * 80 + np.arange(16) * 5] = 1.0 / 16.0
+    return TabularMDP(transitions, reward, initial)
 
 
 GRIDWORLD_SIDE = 4

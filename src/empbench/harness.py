@@ -19,8 +19,8 @@ from .envs import ENVIRONMENTS, build_environment
 from .estimators import (balanced_heuristic, mis_reward_estimate, ratio_reward_estimate,
                          sadl_reward_estimate, stepwise_wis_estimate)
 from .mdp import (MissingLabel, StateDistribution, TransitionDataset, average_reward,
-                  greedy_policy, sample_trajectories, soften_policy,
-                  stationary_distribution, train_q_learning_policy)
+                  check_q_learning_params, greedy_policy, sample_trajectories,
+                  soften_policy, stationary_distribution, train_q_learning_policy)
 from .policies import WeightVector, compute_kl_weights, empirical_state_distribution, \
     estimate_policy_mle
 
@@ -104,6 +104,10 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHOD_NAMES:
                 raise InvalidConfig(f"unknown method {m!r}; expected one of {METHOD_NAMES}")
+        try:
+            check_q_learning_params("target.", **vars(self.target))
+        except ValueError as exc:
+            raise InvalidConfig(str(exc)) from None
         if not self.behavior_epsilons:
             raise InvalidConfig("at least one behavior epsilon is required")
         if any(not 0 < e <= 1 for e in self.behavior_epsilons):
@@ -168,8 +172,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise InvalidConfig(f"config file not found: {path}") from None
+    return parse_config(text)
 
 
 @dataclass

@@ -1,16 +1,18 @@
 """Tabular MDP primitives: domain types, exact oracles, and simulation.
 
-States are 0..S-1, actions 0..A-1.  Transition tensors have shape (S, A, S)
-with rows T[s, a, :] summing to one, rewards are (S, A) tables, and every
-stochastic operation takes an explicit integer seed so experiments are
-bit-reproducible.
+States are 0..S-1, actions 0..A-1.  Transitions are stored as one sparse
+(S*A, S) matrix whose row s * A + a is the next-state distribution
+T[s, a, :], rewards are (S, A) tables, and every stochastic operation takes
+an explicit integer seed so experiments are bit-reproducible.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
+import scipy.sparse as sparse
 
 PROB_ATOL = 1e-12
 
@@ -29,27 +31,44 @@ class MissingLabel(ValueError):
 
 @dataclass
 class TabularMDP:
-    """Finite MDP with transition tensor T[s, a, s'], rewards r[s, a]
-    and an initial state distribution."""
+    """Finite MDP with transitions T[s, a, s'], rewards r[s, a] and an
+    initial state distribution.
 
-    transition: np.ndarray
+    ``transition_rows`` is given either as a dense (S, A, S) array or as a
+    sparse (S*A, S) matrix, and is stored as a CSR matrix in canonical form
+    (sorted indices, no duplicates, no explicit zeros) whose row s * A + a
+    is T[s, a, :].
+    """
+
+    transition_rows: sparse.csr_matrix
     reward: np.ndarray
     initial_dist: np.ndarray
 
     def __post_init__(self):
-        self.transition = np.asarray(self.transition, dtype=np.float64)
         self.reward = np.asarray(self.reward, dtype=np.float64)
         self.initial_dist = np.asarray(self.initial_dist, dtype=np.float64)
-        if self.transition.ndim != 3 or self.transition.shape[0] != self.transition.shape[2]:
-            raise ValueError(f"transition must be (S, A, S), got {self.transition.shape}")
-        s, a = self.transition.shape[:2]
+        rows = self.transition_rows
+        if sparse.issparse(rows):
+            rows = sparse.csr_matrix(rows, dtype=np.float64, copy=True)
+        else:
+            rows = np.asarray(rows, dtype=np.float64)
+            if rows.ndim != 3 or rows.shape[0] != rows.shape[2]:
+                raise ValueError(f"transition must be (S, A, S), got {rows.shape}")
+            rows = sparse.csr_matrix(rows.reshape(-1, rows.shape[2]))
+        rows.sum_duplicates()
+        rows.eliminate_zeros()
+        self.transition_rows = rows
+        s = rows.shape[1]
+        if s == 0 or rows.shape[0] % s:
+            raise ValueError(f"transition rows must be (S*A, S), got {rows.shape}")
+        a = rows.shape[0] // s
         if self.reward.shape != (s, a):
             raise ValueError(f"reward must be (S, A) = ({s}, {a}), got {self.reward.shape}")
         if self.initial_dist.shape != (s,):
             raise ValueError(f"initial_dist must have length {s}")
-        if np.any(self.transition < 0) or np.any(self.initial_dist < 0):
+        if np.any(rows.data < 0) or np.any(self.initial_dist < 0):
             raise ValueError("probabilities must be nonnegative")
-        row_sums = self.transition.sum(axis=2)
+        row_sums = np.asarray(rows.sum(axis=1)).ravel()
         if not np.allclose(row_sums, 1.0, rtol=0.0, atol=PROB_ATOL):
             raise ValueError("every transition row T[s, a, :] must sum to 1")
         if abs(self.initial_dist.sum() - 1.0) > PROB_ATOL:
@@ -57,17 +76,23 @@ class TabularMDP:
 
     @property
     def num_states(self) -> int:
-        return self.transition.shape[0]
+        return self.transition_rows.shape[1]
 
     @property
     def num_actions(self) -> int:
-        return self.transition.shape[1]
+        return self.transition_rows.shape[0] // self.num_states
+
+    @property
+    def transition(self) -> np.ndarray:
+        """Dense (S, A, S) copy of the transitions, built on every access."""
+        return self.transition_rows.toarray().reshape(
+            self.num_states, self.num_actions, self.num_states)
 
     @cached_property
     def transition_cdf(self):
-        """:func:`support_cdf_table` of the (S*A, S) transition rows, built
-        on first use; the transition tensor must not change afterwards."""
-        return support_cdf_table(self.transition.reshape(-1, self.num_states))
+        """:func:`support_cdf_table` of the transition rows, built on first
+        use; the transitions must not change afterwards."""
+        return support_cdf_table(self.transition_rows)
 
 
 @dataclass
@@ -228,8 +253,16 @@ class TransitionDataset:
 
 
 def chain_matrix(mdp: TabularMDP, policy: TabularPolicy) -> np.ndarray:
-    """State-to-state transition matrix M[s, s'] of the policy-induced chain."""
-    return np.einsum("sa,sat->st", policy.probs, mdp.transition)
+    """Dense state-to-state transition matrix M[s, s'] of the policy-induced
+    chain, sum_a pi(a|s) T[s, a, s'].  The sparse product adds each entry's
+    terms in action order, which gives the same doubles as
+    ``einsum("sa,sat->st", ...)`` on the dense tensor."""
+    num_states, num_actions = policy.probs.shape
+    size = num_states * num_actions
+    weights = sparse.csr_matrix(
+        (policy.probs.ravel(), np.arange(size), np.arange(0, size + 1, num_actions)),
+        shape=(num_states, size))
+    return (weights @ mdp.transition_rows).toarray()
 
 
 def stationary_distribution(mdp: TabularMDP, policy: TabularPolicy,
@@ -266,8 +299,9 @@ def average_reward(mdp: TabularMDP, policy: TabularPolicy,
     return float(dist.probs @ per_state)
 
 
-def support_cdf_table(table: np.ndarray):
-    """Inverse-CDF lookup table over the rows of a nonnegative 2-D table.
+def support_cdf_table(table):
+    """Inverse-CDF lookup table over the rows of a nonnegative 2-D table,
+    dense or a canonical CSR matrix (as ``TabularMDP.transition_rows``).
 
     Returns ``(cum, cols, counts)``.  Row i of ``cum`` holds the running sums
     of row i's nonzero entries in column order, padded with +inf; ``cols``
@@ -278,17 +312,18 @@ def support_cdf_table(table: np.ndarray):
     ``min(searchsorted(cumsum(row), u, "right"), K - 1)`` picks.  A draw at
     or past the row's last sum lands on the padding, which is column K - 1.
     """
+    table = sparse.csr_matrix(table)
     num_rows, num_cols = table.shape
-    rows, cols = np.divmod(np.flatnonzero(table != 0), num_cols)  # faster than np.nonzero
-    counts = np.bincount(rows, minlength=num_rows)
+    counts = np.diff(table.indptr).astype(np.int64)
+    rows = np.repeat(np.arange(num_rows), counts)
     width = int(counts.max()) + 1
-    pos = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    pos = np.arange(len(rows)) - np.repeat(table.indptr[:-1], counts)
     cum = np.zeros((num_rows, width))
-    cum[rows, pos] = table[rows, cols]
+    cum[rows, pos] = table.data
     cum = np.cumsum(cum, axis=1)
     cum[np.arange(width) >= counts[:, None]] = np.inf
     col_table = np.full((num_rows, width), num_cols - 1, dtype=np.int64)
-    col_table[rows, pos] = cols
+    col_table[rows, pos] = table.indices
     return cum, col_table, counts
 
 
@@ -340,6 +375,24 @@ def sample_trajectories(mdp: TabularMDP, policy: TabularPolicy, num_traj: int,
     return out
 
 
+# the valid range of each Q-learning parameter: (test, description)
+Q_LEARNING_RANGES = {
+    "episodes": (lambda v: v >= 1, ">= 1"),
+    "epsilon": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "alpha": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "gamma": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+}
+
+
+def check_q_learning_params(prefix: str = "", **params) -> None:
+    """Raise ValueError naming the first parameter outside its
+    ``Q_LEARNING_RANGES`` range, as ``prefix + name``."""
+    for name, value in params.items():
+        in_range, description = Q_LEARNING_RANGES[name]
+        if not in_range(value):
+            raise ValueError(f"{prefix}{name} must be {description}")
+
+
 def train_q_learning_policy(mdp: TabularMDP, episodes: int, epsilon: float,
                             alpha: float, gamma: float, seed: int,
                             steps_per_episode: int = 100) -> TabularPolicy:
@@ -352,12 +405,7 @@ def train_q_learning_policy(mdp: TabularMDP, episodes: int, epsilon: float,
     continuing, so an episode is a fixed-length segment of
     ``steps_per_episode`` steps starting from the initial distribution.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1]")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must be in (0, 1)")
+    check_q_learning_params(episodes=episodes, epsilon=epsilon, alpha=alpha, gamma=gamma)
     q = _q_learning_table(mdp, episodes, epsilon, alpha, gamma, seed, steps_per_episode)
     num_states, num_actions = q.shape
     probs = np.full((num_states, num_actions), epsilon / num_actions)
@@ -371,14 +419,14 @@ def _q_learning_table(mdp: TabularMDP, episodes: int, epsilon: float, alpha: flo
     rng = np.random.default_rng(seed)
     num_states, num_actions = mdp.num_states, mdp.num_actions
     # the loop is scalar, so it runs on Python lists: the same float64
-    # arithmetic as numpy scalars, without their per-operation overhead
-    cum, cols, counts = mdp.transition_cdf
-    keep = np.arange(cum.shape[1]) <= counts[:, None]  # the nonzeros and one padding
-    ends = np.cumsum(counts + 1).tolist()
-    bounds = list(zip([0] + ends[:-1], ends))
-    flat_cum, flat_cols = cum[keep].tolist(), cols[keep].tolist()
-    cdf_rows = [flat_cum[start:end] for start, end in bounds]
-    col_rows = [flat_cols[start:end] for start, end in bounds]
+    # arithmetic as numpy scalars, without their per-operation overhead.
+    # Each transition row's running sums, added in column order as
+    # support_cdf_table adds them, end with the same +inf padding.
+    rows = mdp.transition_rows
+    probs, cols, bounds = rows.data.tolist(), rows.indices.tolist(), rows.indptr.tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    cdf_rows = [list(accumulate(probs[start:end])) + [np.inf] for start, end in spans]
+    col_rows = [cols[start:end] + [num_states - 1] for start, end in spans]
     reward = mdp.reward.tolist()
     init_cdf = np.cumsum(mdp.initial_dist).tolist()
     q = [[0.0] * num_actions for _ in range(num_states)]
@@ -413,17 +461,22 @@ def population_dataset(mdp: TabularMDP, behaviors, weights=None,
     if weights is None:
         weights = np.full(m, 1.0 / m)
     weights = np.asarray(weights, dtype=np.float64)
+    num_actions = mdp.num_actions
+    rows = mdp.transition_rows
+    # row s * A + a of each stored entry; the entries run in (s, a, s') order
+    entry_row = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
     cols_s, cols_a, cols_sp, cols_r, cols_l, cols_w = [], [], [], [], [], []
     for j, pol in enumerate(behaviors):
         d = stationary_distribution(mdp, pol, tol=tol).probs
-        joint = weights[j] * d[:, None, None] * pol.probs[:, :, None] * mdp.transition
-        s_idx, a_idx, sp_idx = np.nonzero(joint)
+        joint = (weights[j] * d[:, None] * pol.probs).ravel()[entry_row] * rows.data
+        keep = joint != 0
+        s_idx, a_idx = np.divmod(entry_row[keep], num_actions)
         cols_s.append(s_idx)
         cols_a.append(a_idx)
-        cols_sp.append(sp_idx)
+        cols_sp.append(rows.indices[keep])
         cols_r.append(mdp.reward[s_idx, a_idx])
         cols_l.append(np.full(len(s_idx), j, dtype=np.int64))
-        cols_w.append(joint[s_idx, a_idx, sp_idx])
+        cols_w.append(joint[keep])
     return TransitionDataset(np.concatenate(cols_s), np.concatenate(cols_a),
                              np.concatenate(cols_sp), np.concatenate(cols_r),
                              np.concatenate(cols_l), np.concatenate(cols_w))

@@ -115,6 +115,7 @@ def reference_sample_trajectories(mdp, policy, num_traj, horizon, seed, label=0)
     Oracle for the lockstep sampler, which must reproduce it bit for bit."""
     rng = np.random.default_rng(seed)
     actions_cdf, next_cdf = {}, {}
+    transition = mdp.transition  # dense, built on each access
     init_cdf = np.cumsum(mdp.initial_dist)
     out = []
     for _ in range(num_traj):
@@ -126,7 +127,7 @@ def reference_sample_trajectories(mdp, policy, num_traj, horizon, seed, label=0)
         nexts = np.empty(horizon, dtype=np.int64)
         for t in range(horizon):
             a = _reference_draw(actions_cdf, policy.probs, s, rng)
-            sp = _reference_draw(next_cdf, mdp.transition, (s, a), rng)
+            sp = _reference_draw(next_cdf, transition, (s, a), rng)
             states[t], actions[t], rewards[t], nexts[t] = s, a, mdp.reward[s, a], sp
             s = sp
         out.append(Trajectory(states, actions, rewards, nexts, policy_label=label))
@@ -140,6 +141,7 @@ def reference_q_table(mdp, episodes, epsilon, alpha, gamma, seed, steps_per_epis
     num_states, num_actions = mdp.num_states, mdp.num_actions
     q = np.zeros((num_states, num_actions))
     next_cdf = {}
+    transition = mdp.transition  # dense, built on each access
     init_cdf = np.cumsum(mdp.initial_dist)
     for _ in range(episodes):
         s = min(int(np.searchsorted(init_cdf, rng.random(), side="right")),
@@ -149,8 +151,103 @@ def reference_q_table(mdp, episodes, epsilon, alpha, gamma, seed, steps_per_epis
                 a = int(rng.integers(num_actions))
             else:
                 a = int(np.argmax(q[s]))
-            sp = _reference_draw(next_cdf, mdp.transition, (s, a), rng)
+            sp = _reference_draw(next_cdf, transition, (s, a), rng)
             q[s, a] += alpha * (mdp.reward[s, a] + gamma * q[sp].max() - q[s, a])
             s = sp
     return q
 
+
+
+def reference_taxi_arrays():
+    """Frozen copy of the original dense taxi builder: returns the (S, A, S)
+    transition tensor, the reward table and the initial distribution, each
+    transition entry accumulated with ``+=`` in a Python loop.  Oracle for
+    the sparse triplet builder, which must reproduce it bit for bit."""
+    grid, corners, rate = 5, (0, 4, 20, 24), 0.05
+    num_states, num_actions = 25 * 16 * 5, 6
+
+    def state(cell, passengers, status):
+        return cell * 80 + passengers * 5 + status
+
+    transition = np.zeros((num_states, num_actions, num_states))
+    reward = np.full((num_states, num_actions), -1.0)
+    flip_probs = np.empty(16)
+    for pattern in range(16):
+        k = bin(pattern).count("1")
+        flip_probs[pattern] = rate**k * (1.0 - rate) ** (4 - k)
+    corner_of_cell = {cell: i for i, cell in enumerate(corners)}
+    for cell in range(25):
+        row, col = divmod(cell, grid)
+        moved = [cell - grid if row > 0 else cell, cell + 1 if col < grid - 1 else cell,
+                 cell + grid if row < grid - 1 else cell, cell - 1 if col > 0 else cell]
+        for passengers in range(16):
+            for status in range(5):
+                s = state(cell, passengers, status)
+                for action in range(num_actions):
+                    if action < 4:
+                        outcomes = [(1.0, moved[action], passengers, status)]
+                    elif action == 4:
+                        corner = corner_of_cell.get(cell)
+                        if status == 0 and corner is not None and passengers >> corner & 1:
+                            reward[s, action] = 20.0
+                            cleared = passengers & ~(1 << corner)
+                            outcomes = [(0.25, cell, cleared, 1 + d) for d in range(4)]
+                        else:
+                            outcomes = [(1.0, cell, passengers, status)]
+                    else:
+                        if status > 0 and cell == corners[status - 1]:
+                            reward[s, action] = 20.0
+                            outcomes = [(1.0, cell, passengers, 0)]
+                        else:
+                            outcomes = [(1.0, cell, passengers, status)]
+                    for prob, cell2, pass2, status2 in outcomes:
+                        for pattern in range(16):
+                            s2 = state(cell2, pass2 ^ pattern, status2)
+                            transition[s, action, s2] += prob * flip_probs[pattern]
+    initial = np.zeros(num_states)
+    for passengers in range(16):
+        initial[state(12, passengers, 0)] = 1.0 / 16.0
+    return transition, reward, initial
+
+
+def reference_chain_matrix(transition, policy):
+    """The original dense chain matrix: einsum over the (S, A, S) tensor."""
+    return np.einsum("sa,sat->st", policy.probs, transition)
+
+
+def reference_support_cdf_table(table):
+    """Frozen copy of the original dense inverse-CDF table builder."""
+    num_rows, num_cols = table.shape
+    rows, cols = np.divmod(np.flatnonzero(table != 0), num_cols)
+    counts = np.bincount(rows, minlength=num_rows)
+    width = int(counts.max()) + 1
+    pos = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    cum = np.zeros((num_rows, width))
+    cum[rows, pos] = table[rows, cols]
+    cum = np.cumsum(cum, axis=1)
+    cum[np.arange(width) >= counts[:, None]] = np.inf
+    col_table = np.full((num_rows, width), num_cols - 1, dtype=np.int64)
+    col_table[rows, pos] = cols
+    return cum, col_table, counts
+
+
+def reference_population_columns(transition, reward, stationary, behaviors, weights):
+    """Frozen copy of the original dense population enumeration: the
+    (s, a, s', r, label, weight) columns, given each behavior's stationary
+    distribution."""
+    columns = [[] for _ in range(6)]
+    for j, (pol, d) in enumerate(zip(behaviors, stationary)):
+        joint = weights[j] * d[:, None, None] * pol.probs[:, :, None] * transition
+        s_idx, a_idx, sp_idx = np.nonzero(joint)
+        for column, values in zip(columns, (s_idx, a_idx, sp_idx, reward[s_idx, a_idx],
+                                            np.full(len(s_idx), j, dtype=np.int64),
+                                            joint[s_idx, a_idx, sp_idx])):
+            column.append(values)
+    return [np.concatenate(column) for column in columns]
+
+
+def reference_delta_quadratic(left):
+    """Frozen copy of the original dense delta-kernel form: the sparse
+    product densified, then symmetrized in dense."""
+    mat = (left @ left.T).toarray()
+    return 0.5 * (mat + mat.T)

@@ -2,18 +2,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
+from empbench import corrections
 from empbench import (CorrectionVector, DegenerateReference, KernelSpec, QuadraticForm,
                       SolverParams, TabularPolicy, TransitionDataset,
                       assemble_state_action_quadratic, assemble_state_quadratic,
-                      build_singlepath, importance_ratios, learn_bch, learn_emp,
-                      learn_sadl, population_dataset, sample_trajectories,
+                      build_gridworld, build_singlepath, build_taxi, importance_ratios,
+                      learn_bch, learn_emp, learn_sadl, population_dataset, sample_trajectories,
                       solve_normalized_quadratic, stationary_distribution, tv_distance)
-from empbench.policies import empirical_state_distribution
+from empbench.harness import ExperimentConfig, PolicySpec, generate_cell_data, make_policies
+from empbench.policies import empirical_state_distribution, estimate_policy_mle
 
 from helpers import (naive_state_action_objective, naive_state_quadratic,
                      one_hot_gaussian_gram, random_mdp, random_policy, random_soft_policy,
-                     stationary_start)
+                     reference_delta_quadratic, stationary_start)
 
 
 def random_dataset(rng, num_states, num_actions, n, unit_weights=True):
@@ -194,6 +197,103 @@ class TestGaussianGram:
         assert peak < 100e6
         assert gram.shape == (2000, 2000)
         assert np.all(np.diag(gram) == 1.0) and gram[0, 1] == np.exp(-1.0)
+
+@pytest.fixture(scope="module")
+def taxi_cell():
+    """One cell of the acceptance taxi sweep: 200 trajectories of 200 steps
+    from the 0.2-softening of a 2000-episode Q-learning target."""
+    mdp = build_taxi()
+    cfg = ExperimentConfig(environment="taxi", target=PolicySpec(episodes=2000),
+                           behavior_epsilons=[0.2])
+    target, behaviors = make_policies(mdp, cfg, 0)
+    _, data = generate_cell_data(mdp, behaviors, 200, 200, data_seed=5)
+    return mdp, target, behaviors, data
+
+
+def assemble_with_factor(monkeypatch, assemble, *args):
+    """The form ``assemble(*args)`` returns and the sparse factor it passed
+    to ``_kernel_quadratic``."""
+    factors = []
+    kernel_quadratic = corrections._kernel_quadratic
+
+    def capture(left, *rest):
+        factors.append(left)
+        return kernel_quadratic(left, *rest)
+
+    monkeypatch.setattr(corrections, "_kernel_quadratic", capture)
+    return assemble(*args), factors[0]
+
+
+def assert_same_csr(actual, expected):
+    assert actual.format == "csr" and actual.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(actual, name), getattr(expected, name)), name
+
+
+class TestSparseQuadraticForms:
+    """Delta-kernel forms are symmetrized in sparse and hold the same
+    doubles as the original dense symmetrization (tests/helpers.py)."""
+
+    def test_taxi_state_forms_match_dense(self, monkeypatch, taxi_cell):
+        mdp, target, behaviors, data = taxi_cell
+        for denom in (behaviors, estimate_policy_mle(data, 2000, 6)):
+            qf, left = assemble_with_factor(monkeypatch, assemble_state_quadratic, data,
+                                            target, denom, KernelSpec.state_delta(), 2000)
+            dense = reference_delta_quadratic(left)
+            assert isinstance(qf.matrix, np.ndarray) and np.array_equal(qf.matrix, dense)
+            assert qf.nnz == np.count_nonzero(dense) < 0.25 * 2000**2
+            # the solver's CSR is the one it used to convert the dense form to
+            assert_same_csr(qf.entries, sparse.csr_matrix(dense))
+
+    def test_small_state_action_form_matches_dense(self, monkeypatch):
+        mdp = build_gridworld()
+        rng = np.random.default_rng(41)
+        behavior, target = random_soft_policy(rng, 16, 4), random_soft_policy(rng, 16, 4)
+        data = population_dataset(mdp, behavior)
+        qf, left = assemble_with_factor(monkeypatch, assemble_state_action_quadratic, data,
+                                        target, np.full(4, 0.25),
+                                        KernelSpec.state_action_delta(), 16, 4)
+        dense = reference_delta_quadratic(left)
+        assert np.array_equal(qf.matrix, dense)
+        assert_same_csr(qf.entries, sparse.csr_matrix(dense))
+
+    def test_solver_multiplies_sparse_only_when_large_and_sparse(self, monkeypatch,
+                                                                 taxi_cell):
+        # the rule that decides the matvec, and with it the rounding:
+        # CSR at >= 512 variables and density < 0.25, dense otherwise
+        mdp, target, behaviors, data = taxi_cell
+        used = []
+        lambda_max = corrections._lambda_max
+
+        def spy(matrix, *args, **kwargs):
+            used.append(matrix)
+            return lambda_max(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(corrections, "_lambda_max", spy)
+        taxi = assemble_state_quadratic(data, target, behaviors, KernelSpec.state_delta(), 2000)
+        small = sparse.random(511, 511, density=0.01, random_state=1)
+        cases = [(taxi, True), (QuadraticForm(np.eye(512), 512), True),
+                 (QuadraticForm(small @ small.T, 511), False),
+                 (QuadraticForm(np.ones((512, 512)), 512), False)]
+        for form, csr in cases:
+            solve_normalized_quadratic(form, np.full(form.dim, 1.0 / form.dim), iters=1)
+            assert sparse.issparse(used[-1]) == csr
+            if csr:
+                assert_same_csr(used[-1], sparse.csr_matrix(form.matrix))
+            else:
+                assert np.array_equal(used[-1], form.matrix)
+
+    def test_form_accepts_dense_and_sparse_entries(self):
+        dense = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        for entries in (dense, sparse.coo_matrix(dense)):
+            qf = QuadraticForm(entries, 2, scale=0.5)
+            assert isinstance(qf.matrix, np.ndarray) and np.array_equal(qf.matrix, dense)
+            assert qf.nnz == 4
+            assert qf.value([1.0, 2.0]) == 0.5 * 6.0
+            assert np.array_equal(qf.normalized_matrix(), 0.5 * dense)
+        with pytest.raises(ValueError):
+            QuadraticForm(sparse.eye(3), 2)
+
 
 def enumerate_active_sets(matrix, reference):
     """Constrained-QP oracle for small dimensions: solve the KKT system for

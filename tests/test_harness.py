@@ -1,6 +1,8 @@
 import functools
 import math
+import re
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -13,8 +15,9 @@ from empbench import (METHOD_NAMES, STATE_METHODS, ExperimentConfig, InvalidConf
                       TransitionDataset, average_reward, build_environment,
                       build_singlepath, emit_csv, parse_config, read_records_csv,
                       run_experiment, run_method, summarize_mse, summarize_tv, tv_distance)
+from empbench import cli, harness, learn_bch
 from empbench.cli import main
-from empbench.harness import _CONFIG_KEYS, generate_cell_data, make_policies
+from empbench.harness import _CONFIG_KEYS, _cell_context, generate_cell_data, make_policies
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -72,11 +75,22 @@ KEY_CASES = {
     "target.gamma": ("0.5", lambda c: replace(c, target=PolicySpec(gamma=0.5))),
     "kernel.kind": ("state-action-delta",
                     lambda c: replace(c, kernel=KernelSpec.state_action_delta())),
-    "kernel.bandwidth": ("1.5", lambda c: replace(c, kernel=KernelSpec(bandwidth=1.5))),
+    # a bandwidth needs the gaussian kernel; the delta kernels reject one
+    "kernel.bandwidth": ("1.5\nkernel.kind = gaussian-on-embedding",
+                         lambda c: replace(c, kernel=KernelSpec.gaussian(1.5))),
     "solver.step": ("0.25", lambda c: replace(c, solver=SolverParams(step=0.25))),
     "solver.iters": ("123", lambda c: replace(c, solver=SolverParams(iters=123))),
     "output": ("elsewhere", lambda c: replace(c, output="elsewhere")),
 }
+
+
+# one out-of-range value per Q-learning key, with the error it must raise
+TARGET_OUT_OF_RANGE = [
+    ("target.episodes = -5", r"target\.episodes must be >= 1"),
+    ("target.epsilon = 1", r"target\.epsilon must be in \(0, 1\)"),
+    ("target.alpha = 0", r"target\.alpha must be in \(0, 1\]"),
+    ("target.gamma = 5", r"target\.gamma must be in \(0, 1\)"),
+]
 
 
 class TestParseConfig:
@@ -99,6 +113,11 @@ class TestParseConfig:
     def test_kernel_error_is_invalid_config(self):
         with pytest.raises(InvalidConfig, match="bandwidth"):
             parse_config("kernel.kind = gaussian-on-embedding\n")
+
+    @pytest.mark.parametrize("kind", ["state-delta", "state-action-delta"])
+    def test_bandwidth_on_delta_kernel_rejected(self, kind):
+        with pytest.raises(InvalidConfig, match=f"kernel kind '{kind}' takes no bandwidth"):
+            parse_config(f"kernel.kind = {kind}\nkernel.bandwidth = 7\n")
 
     def test_full_config(self):
         cfg = parse_config(TINY_CONFIG)
@@ -415,6 +434,38 @@ class TestCli:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.txt")]) == 2
 
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        """Fail the command (exit 3) if the sweep starts."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep started")
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+
+    @pytest.mark.parametrize("line, message", TARGET_OUT_OF_RANGE)
+    def test_target_out_of_range_exits_2(self, tmp_path, capsys, no_sweep, line, message):
+        assert main(["run", str(self.write_config(tmp_path, TINY_CONFIG + line))]) == 2
+        assert re.search(message, capsys.readouterr().err)
+
+    def test_bandwidth_on_delta_kernel_exits_2(self, tmp_path, capsys, no_sweep):
+        config = self.write_config(tmp_path, TINY_CONFIG + "kernel.bandwidth = 7")
+        assert main(["run", str(config)]) == 2
+        assert "takes no bandwidth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "tv"])
+    def test_uncreatable_output_exits_2_before_the_sweep(self, tmp_path, capsys, no_sweep,
+                                                          command):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        config = str(self.write_config(tmp_path))
+        assert main([command, config, "--out", str(blocker / "sub")]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+
+    def test_file_not_found_during_the_run_exits_3(self, tmp_path, monkeypatch):
+        def missing(*args, **kwargs):
+            raise FileNotFoundError("some data file")
+        monkeypatch.setattr(cli, "run_experiment", missing)
+        assert main(["run", str(self.write_config(tmp_path))]) == 3
+
     def test_workers_below_one_exits_2(self, tmp_path, capsys):
         assert main(["run", str(self.write_config(tmp_path)), "--workers", "0"]) == 2
         assert "workers" in capsys.readouterr().err
@@ -458,3 +509,39 @@ solver.iters = 3000
         assert main(["run", str(REPO / "demos" / "singlepath.cfg"), "--seed", "0",
                      "--workers", str(workers), "--out", str(out)]) == 0
         assert (out / "records.csv").read_bytes() == GOLDEN_SINGLEPATH.read_bytes()
+
+
+class TestTaxiMemory:
+    """The taxi run path never holds a dense (S, A, S) tensor or a dense
+    2000 x 2000 form: tracemalloc peaks of the setup and of one learner."""
+
+    @pytest.fixture(scope="class")
+    def peaks(self):
+        # the peak does not grow with the episode count, while tracing slows
+        # every Q-learning step, so the target trains for 200 episodes
+        cfg = parse_config("""
+environment = taxi
+target.episodes = 200
+behavior.epsilons = 0.2
+solver.iters = 8000
+""")
+        harness._WORKER_CACHE.clear()
+        tracemalloc.start()
+        try:
+            mdp, target, behaviors, _, _ = _cell_context(cfg, 0)
+            context_peak = tracemalloc.get_traced_memory()[1]
+            _, data = generate_cell_data(mdp, behaviors, 200, 200, data_seed=11)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            learn_bch(data, target, behaviors, solver=cfg.solver)
+            learn_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+            harness._WORKER_CACHE.clear()
+        return context_peak, learn_peak
+
+    def test_cell_context_peak(self, peaks):
+        assert peaks[0] < 40e6
+
+    def test_learn_bch_peak(self, peaks):
+        assert peaks[1] < 20e6

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from empbench import (NonErgodicChain, TabularMDP, TabularPolicy, Trajectory,
                       TransitionDataset, average_reward, build_gridworld,
@@ -9,9 +10,11 @@ from empbench import (NonErgodicChain, TabularMDP, TabularPolicy, Trajectory,
 from empbench import mdp as mdp_module
 from empbench.mdp import _draw, _q_learning_table, chain_matrix, support_cdf_table
 
-from helpers import (random_mdp, random_policy, random_soft_policy,
-                     reference_q_table, reference_sample_trajectories,
-                     solve_stationary_exactly, two_state_symmetric)
+from helpers import (random_mdp, random_policy, random_soft_policy, reference_chain_matrix,
+                     reference_population_columns, reference_q_table,
+                     reference_sample_trajectories, reference_support_cdf_table,
+                     reference_taxi_arrays, solve_stationary_exactly,
+                     two_state_symmetric)
 
 
 def assert_same_trajectories(actual, expected):
@@ -54,6 +57,115 @@ class TestValidation:
     def test_dataset_default_weights_are_one(self):
         data = TransitionDataset(s=[0], a=[0], sp=[1], r=[0.0])
         assert data.weights.tolist() == [1.0]
+
+
+class TestSparseTransitions:
+    def test_dense_and_sparse_input_store_the_same_rows(self):
+        rng = np.random.default_rng(21)
+        dense = random_mdp(rng, 5, 3)
+        rows = dense.transition_rows
+        from_sparse = TabularMDP(sparse.coo_matrix(rows), dense.reward, dense.initial_dist)
+        for mdp in (dense, from_sparse):
+            assert mdp.num_states == 5 and mdp.num_actions == 3
+            assert mdp.transition_rows.shape == (15, 5)
+            assert np.array_equal(mdp.transition_rows.toarray(), rows.toarray())
+        assert np.array_equal(dense.transition, rows.toarray().reshape(5, 3, 5))
+
+    def test_rows_are_stored_canonically(self):
+        # duplicates, an explicit zero and unsorted columns in the input
+        triplets = ([0.25, 0.25, 0.0, 0.5, 1.0, 1.0, 1.0],
+                    ([0, 0, 0, 0, 1, 2, 3], [1, 1, 0, 0, 1, 0, 1]))
+        mdp = TabularMDP(sparse.coo_matrix(triplets, shape=(4, 2)), np.zeros((2, 2)),
+                         np.array([1.0, 0.0]))
+        rows = mdp.transition_rows
+        assert rows.format == "csr" and rows.has_canonical_format
+        assert np.all(rows.data != 0)
+        assert rows.indptr.tolist() == [0, 2, 3, 4, 5]
+        assert rows.indices.tolist() == [0, 1, 1, 0, 1]
+        assert rows.data.tolist() == [0.5, 0.5, 1.0, 1.0, 1.0]
+
+    def test_input_is_copied(self):
+        rows = sparse.csr_matrix(np.eye(2))
+        mdp = TabularMDP(rows, np.zeros((2, 1)), np.array([1.0, 0.0]))
+        rows.data[:] = 0.5
+        assert mdp.transition_rows.data.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("rows", [
+        sparse.csr_matrix(np.ones((3, 2)) / 2),            # 3 rows are not S * A
+        sparse.csr_matrix(np.array([[1.5, -0.5], [0.0, 1.0]])),  # negative entry
+        sparse.csr_matrix(np.array([[0.5, 0.4], [0.0, 1.0]])),   # row sums to 0.9
+        sparse.csr_matrix(np.array([[np.nan, 1.0], [0.0, 1.0]])),
+        np.ones((2, 2)) / 2,                               # dense must be (S, A, S)
+    ])
+    def test_invalid_rows_rejected(self, rows):
+        with pytest.raises(ValueError):
+            TabularMDP(rows, np.zeros((2, 1)), np.array([1.0, 0.0]))
+
+
+@pytest.fixture(scope="module")
+def dense_taxi():
+    """The taxi tensor, rewards and initial distribution from the frozen
+    dense builder, with the sparse build of the same MDP."""
+    return reference_taxi_arrays(), build_taxi()
+
+
+class TestSparseCoreMatchesDense:
+    """Every reader of the sparse rows returns the same doubles as the
+    original code on the dense (S, A, S) tensor (tests/helpers.py)."""
+
+    def test_taxi_rows(self, dense_taxi):
+        (transition, reward, initial), mdp = dense_taxi
+        assert np.array_equal(mdp.transition_rows.toarray(), transition.reshape(-1, 2000))
+        assert mdp.transition_rows.nnz == np.count_nonzero(transition) == 193536
+        assert np.array_equal(mdp.reward, reward)
+        assert np.array_equal(mdp.initial_dist, initial)
+
+    def test_transition_cdf(self, dense_taxi):
+        (transition, _, _), taxi = dense_taxi
+        pairs = [(taxi, transition)] + [(mdp, mdp.transition) for mdp in small_mdps()]
+        for mdp, dense in pairs:
+            expected = reference_support_cdf_table(dense.reshape(-1, mdp.num_states))
+            for got, want in zip(mdp.transition_cdf, expected):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_chain_matrix_taxi(self, dense_taxi):
+        (transition, _, _), mdp = dense_taxi
+        rng = np.random.default_rng(17)
+        uniform = uniform_policy(2000, 6)
+        for policy in (uniform, random_policy(rng, 2000, 6),
+                       soften_policy(greedy_policy(random_policy(rng, 2000, 6)), 0.1),
+                       greedy_policy(random_policy(rng, 2000, 6))):
+            assert np.array_equal(chain_matrix(mdp, policy),
+                                  reference_chain_matrix(transition, policy))
+
+    def test_chain_matrix_small(self):
+        rng = np.random.default_rng(19)
+        mdps = small_mdps() + [random_mdp(rng, 7, 9), random_mdp(rng, 12, 5)]
+        for mdp in mdps:
+            for policy in (random_policy(rng, mdp.num_states, mdp.num_actions),
+                           greedy_policy(random_policy(rng, mdp.num_states, mdp.num_actions))):
+                assert np.array_equal(chain_matrix(mdp, policy),
+                                      reference_chain_matrix(mdp.transition, policy))
+
+    def test_population_dataset(self, dense_taxi):
+        (transition, reward, _), taxi = dense_taxi
+        rng = np.random.default_rng(23)
+        cases = [(taxi, transition, [soften_policy(uniform_policy(2000, 6), 0.3)], [1.0])]
+        for k, mdp in enumerate(small_mdps()):
+            shape = mdp.num_states, mdp.num_actions
+            second = random_soft_policy(rng, *shape)
+            if k >= 2:  # dense random transitions keep a greedy policy ergodic
+                second = greedy_policy(second)
+            cases.append((mdp, mdp.transition, [random_soft_policy(rng, *shape), second],
+                          [0.3, 0.7]))
+        for mdp, dense, behaviors, weights in cases:
+            data = population_dataset(mdp, behaviors, weights)
+            stationary = [stationary_distribution(mdp, b).probs for b in behaviors]
+            expected = reference_population_columns(dense, mdp.reward, stationary,
+                                                    behaviors, np.asarray(weights))
+            got = (data.s, data.a, data.sp, data.r, data.labels, data.weights)
+            for column, want in zip(got, expected):
+                assert column.dtype == want.dtype and np.array_equal(column, want)
 
 
 class TestStationaryDistribution:
@@ -277,6 +389,8 @@ class TestQLearning:
             train_q_learning_policy(mdp, 10, 0.0, 0.5, 0.9, seed=0)
         with pytest.raises(ValueError):
             train_q_learning_policy(mdp, 10, 0.1, 0.5, 1.0, seed=0)
+        with pytest.raises(ValueError, match="episodes"):
+            train_q_learning_policy(mdp, 0, 0.1, 0.5, 0.9, seed=0)
 
 
 class TestSoftenPolicy:
