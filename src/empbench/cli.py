@@ -8,6 +8,7 @@ Subcommands:
                          distribution of the default target policy
 * ``env-check <env>``    validate the environment's invariants
 
+Run as ``empbench <subcommand>`` or ``python -m empbench.cli <subcommand>``.
 Exit codes: 0 success, 2 invalid configuration, 3 runtime error.
 """
 
@@ -134,3 +135,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -252,34 +252,48 @@ class TransitionDataset:
         return cls(s, a, sp, r, labels)
 
 
-def chain_matrix(mdp: TabularMDP, policy: TabularPolicy) -> np.ndarray:
-    """Dense state-to-state transition matrix M[s, s'] of the policy-induced
-    chain, sum_a pi(a|s) T[s, a, s'].  The sparse product adds each entry's
-    terms in action order, which gives the same doubles as
+def chain_matrix(mdp: TabularMDP, policy: TabularPolicy) -> sparse.csr_matrix:
+    """State-to-state transition matrix M[s, s'] of the policy-induced chain,
+    sum_a pi(a|s) T[s, a, s'], as a CSR matrix.  The sparse product adds each
+    entry's terms in action order, which gives the same doubles as
     ``einsum("sa,sat->st", ...)`` on the dense tensor."""
     num_states, num_actions = policy.probs.shape
     size = num_states * num_actions
     weights = sparse.csr_matrix(
         (policy.probs.ravel(), np.arange(size), np.arange(0, size + 1, num_actions)),
         shape=(num_states, size))
-    return (weights @ mdp.transition_rows).toarray()
+    return weights @ mdp.transition_rows
+
+
+# power iterations between two checks that the balance residual still shrinks
+_RESIDUAL_WINDOW = 1000
 
 
 def stationary_distribution(mdp: TabularMDP, policy: TabularPolicy,
                             tol: float = 1e-10, max_iters: int = 10**6) -> StateDistribution:
     """Stationary distribution of the policy-induced chain by power iteration.
 
-    Starts from the uniform vector and iterates d <- d M until the balance
-    residual ||d M - d||_1 drops below ``tol``.  Raises
-    :class:`NonErgodicChain` if the residual does not converge within
-    ``max_iters`` iterations.
+    Starts from the uniform vector and iterates d <- d M, as the sparse
+    product M^T d, until the balance residual ||d M - d||_1 drops below
+    ``tol``.  M is stochastic, so the residual never grows; it stays put on
+    a periodic chain.  Raises :class:`NonErgodicChain` when the residual
+    has not shrunk over ``_RESIDUAL_WINDOW`` iterations, or has not
+    converged within ``max_iters`` iterations.
     """
-    m = chain_matrix(mdp, policy)
+    m_t = chain_matrix(mdp, policy).T.tocsr()
     d = np.full(mdp.num_states, 1.0 / mdp.num_states)
-    for _ in range(max_iters):
-        d_next = d @ m
-        if np.abs(d_next - d).sum() <= tol:
+    checkpoint = np.inf
+    for k in range(max_iters):
+        d_next = m_t @ d
+        residual = np.abs(d_next - d).sum()
+        if residual <= tol:
             return StateDistribution(d / d.sum())
+        if k % _RESIDUAL_WINDOW == 0:
+            if residual >= checkpoint:
+                raise NonErgodicChain(
+                    f"balance residual stopped shrinking at {residual:.3g} after {k} "
+                    "iterations: the chain is periodic or reducible")
+            checkpoint = residual
         d = d_next
     raise NonErgodicChain(
         f"balance residual did not reach {tol} within {max_iters} iterations")
@@ -413,34 +427,105 @@ def train_q_learning_policy(mdp: TabularMDP, episodes: int, epsilon: float,
     return TabularPolicy(probs)
 
 
+# raw 64-bit words that _q_learning_table reads from the generator at a time
+# (32 KB); at least the three words one step can read
+_RAW_BATCH = 1 << 12
+
+_LOW32 = 0xFFFFFFFF
+
+
+def _bounded_draw(next32, bound: int) -> int:
+    """``Generator.integers(bound)`` for 1 <= bound <= 2**32, from a source
+    of 32-bit draws.
+
+    numpy (``buffered_bounded_lemire_uint32``) maps a 32-bit draw x to
+    (x * bound) >> 32 by Lemire's method and draws again while the low 32
+    bits of x * bound fall below 2**32 % bound, which removes the bias.
+    ``integers(1)`` draws nothing.
+    """
+    if bound == 1:
+        return 0
+    threshold = (1 << 32) % bound
+    m = next32() * bound
+    while (m & _LOW32) < threshold:
+        m = next32() * bound
+    return m >> 32
+
+
 def _q_learning_table(mdp: TabularMDP, episodes: int, epsilon: float, alpha: float,
                       gamma: float, seed: int, steps_per_episode: int) -> np.ndarray:
-    """The Q table that :func:`train_q_learning_policy` softens."""
-    rng = np.random.default_rng(seed)
+    """The Q table that :func:`train_q_learning_policy` softens.
+
+    The loop reads the PCG64 raw stream of ``default_rng(seed)`` in batches
+    and decodes it as the generator would, so it uses the same draws as one
+    ``random()`` per uniform and one ``integers(num_actions)`` per
+    exploratory action: a uniform is (word >> 11) * 2**-53, and a 32-bit
+    draw is the low half of a fresh word, whose high half is kept for the
+    next 32-bit draw.
+    """
+    bit_generator = np.random.default_rng(seed).bit_generator
     num_states, num_actions = mdp.num_states, mdp.num_actions
     # the loop is scalar, so it runs on Python lists: the same float64
     # arithmetic as numpy scalars, without their per-operation overhead.
     # Each transition row's running sums, added in column order as
-    # support_cdf_table adds them, end with the same +inf padding.
+    # support_cdf_table adds them, end with the same +inf padding; the
+    # column lists share the int objects of one list of state indices.
     rows = mdp.transition_rows
-    probs, cols, bounds = rows.data.tolist(), rows.indices.tolist(), rows.indptr.tolist()
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    cdf_rows = [list(accumulate(probs[start:end])) + [np.inf] for start, end in spans]
-    col_rows = [cols[start:end] + [num_states - 1] for start, end in spans]
+    state_ids = list(range(num_states))
+    bounds = rows.indptr.tolist()
+    cdf_rows, col_rows = [], []
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        cdf_rows.append(list(accumulate(rows.data[start:end].tolist())) + [np.inf])
+        col_rows.append([state_ids[c] for c in rows.indices[start:end].tolist()]
+                        + [state_ids[-1]])
     reward = mdp.reward.tolist()
     init_cdf = np.cumsum(mdp.initial_dist).tolist()
     q = [[0.0] * num_actions for _ in range(num_states)]
-    random, integers = rng.random, rng.integers
+
+    words, uniforms, pos = np.empty(0, dtype=np.uint64), [], 0
+    high = None  # the unused high half of the last word split into 32-bit draws
+
+    def refill():
+        """Append a fresh batch of words to the unread ones."""
+        nonlocal words, uniforms, pos
+        words = np.concatenate([words[pos:], bit_generator.random_raw(_RAW_BATCH)])
+        uniforms = ((words >> 11) * 2.0**-53).tolist()
+        pos = 0
+
+    def next32():
+        """The next 32-bit draw, as PCG64's buffered next_uint32."""
+        nonlocal pos, high
+        if high is not None:
+            low, high = high, None
+            return low
+        if pos == len(uniforms):
+            refill()
+        word = int(words[pos])
+        pos += 1
+        high = word >> 32
+        return word & _LOW32
+
+    last_state = num_states - 1
     for _ in range(episodes):
-        s = min(bisect_right(init_cdf, random()), num_states - 1)
+        if pos == len(uniforms):
+            refill()
+        s = min(bisect_right(init_cdf, uniforms[pos]), last_state)
+        pos += 1
         for _ in range(steps_per_episode):
+            # a step reads at most three words; a rejected bounded draw
+            # takes more, and next32 refills for those
+            if pos + 3 > len(uniforms):
+                refill()
             q_s = q[s]
-            if random() < epsilon:
-                a = int(integers(num_actions))
+            explore = uniforms[pos] < epsilon
+            pos += 1
+            if explore:
+                a = _bounded_draw(next32, num_actions)
             else:
                 a = q_s.index(max(q_s))  # first maximal action, as np.argmax
             row = s * num_actions + a
-            sp = col_rows[row][bisect_right(cdf_rows[row], random())]
+            sp = col_rows[row][bisect_right(cdf_rows[row], uniforms[pos])]
+            pos += 1
             q_s[a] += alpha * (reward[s][a] + gamma * max(q[sp]) - q_s[a])
             s = sp
     return np.array(q)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -8,7 +10,8 @@ from empbench import (NonErgodicChain, TabularMDP, TabularPolicy, Trajectory,
                       sample_trajectories, soften_policy, stationary_distribution,
                       train_q_learning_policy, uniform_policy)
 from empbench import mdp as mdp_module
-from empbench.mdp import _draw, _q_learning_table, chain_matrix, support_cdf_table
+from empbench.mdp import (_bounded_draw, _draw, _q_learning_table, chain_matrix,
+                          support_cdf_table)
 
 from helpers import (random_mdp, random_policy, random_soft_policy, reference_chain_matrix,
                      reference_population_columns, reference_q_table,
@@ -135,7 +138,7 @@ class TestSparseCoreMatchesDense:
         for policy in (uniform, random_policy(rng, 2000, 6),
                        soften_policy(greedy_policy(random_policy(rng, 2000, 6)), 0.1),
                        greedy_policy(random_policy(rng, 2000, 6))):
-            assert np.array_equal(chain_matrix(mdp, policy),
+            assert np.array_equal(chain_matrix(mdp, policy).toarray(),
                                   reference_chain_matrix(transition, policy))
 
     def test_chain_matrix_small(self):
@@ -144,7 +147,7 @@ class TestSparseCoreMatchesDense:
         for mdp in mdps:
             for policy in (random_policy(rng, mdp.num_states, mdp.num_actions),
                            greedy_policy(random_policy(rng, mdp.num_states, mdp.num_actions))):
-                assert np.array_equal(chain_matrix(mdp, policy),
+                assert np.array_equal(chain_matrix(mdp, policy).toarray(),
                                       reference_chain_matrix(mdp.transition, policy))
 
     def test_population_dataset(self, dense_taxi):
@@ -187,7 +190,7 @@ class TestStationaryDistribution:
         mdp = build_singlepath()
         policy = uniform_policy(5, 2)
         d = stationary_distribution(mdp, policy)
-        oracle = solve_stationary_exactly(chain_matrix(mdp, policy))
+        oracle = solve_stationary_exactly(chain_matrix(mdp, policy).toarray())
         np.testing.assert_allclose(d.probs, oracle, atol=1e-9)
 
     def test_balance_residual_within_tolerance(self):
@@ -196,7 +199,7 @@ class TestStationaryDistribution:
             mdp = random_mdp(rng, 6, 2)
             policy = random_policy(rng, 6, 2)
             d = stationary_distribution(mdp, policy, tol=1e-10)
-            residual = np.abs(d.probs @ chain_matrix(mdp, policy) - d.probs).sum()
+            residual = np.abs(d.probs @ chain_matrix(mdp, policy).toarray() - d.probs).sum()
             assert residual <= 1e-10
 
     def test_periodic_chain_raises(self):
@@ -205,8 +208,30 @@ class TestStationaryDistribution:
         transition[0, 0, 1] = transition[0, 0, 2] = 0.5
         transition[1, 0, 0] = transition[2, 0, 0] = 1.0
         mdp = TabularMDP(transition, np.zeros((3, 1)), np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(NonErgodicChain):
+        with pytest.raises(NonErgodicChain, match="within 500 iterations"):
             stationary_distribution(mdp, uniform_policy(3, 1), max_iters=500)
+        # with the default max_iters = 10**6 it stops once the residual
+        # has not shrunk over one window
+        start = time.perf_counter()
+        with pytest.raises(NonErgodicChain, match="stopped shrinking"):
+            stationary_distribution(mdp, uniform_policy(3, 1))
+        assert time.perf_counter() - start < 1.0
+
+    def test_slowly_mixing_chain_converges(self):
+        # second eigenvalue 1 - 3e-4: the residual shrinks by about 26 %
+        # per window of 1000 iterations and reaches tol after about 46k
+        transition = np.array([[[1 - 1e-4, 1e-4]], [[2e-4, 1 - 2e-4]]])
+        mdp = TabularMDP(transition, np.zeros((2, 1)), np.array([1.0, 0.0]))
+        d = stationary_distribution(mdp, uniform_policy(2, 1))
+        np.testing.assert_allclose(d.probs, [2 / 3, 1 / 3], atol=1e-6)
+
+    def test_taxi_matches_linear_solve(self):
+        mdp = build_taxi()
+        target = train_q_learning_policy(mdp, 2000, 0.1, 0.2, 0.95, seed=0)
+        for policy in (uniform_policy(2000, 6), target):
+            d = stationary_distribution(mdp, policy)
+            oracle = solve_stationary_exactly(chain_matrix(mdp, policy).toarray())
+            np.testing.assert_allclose(d.probs, oracle, rtol=0, atol=1e-10)
 
 
 class TestAverageReward:
@@ -235,7 +260,7 @@ class TestAverageReward:
         policy = uniform_policy(16, 4)
         rng = np.random.default_rng(123)
         num_steps, num_batches = 10**6, 100
-        cdf = np.cumsum(chain_matrix(mdp, policy), axis=1)
+        cdf = np.cumsum(chain_matrix(mdp, policy).toarray(), axis=1)
         reward_per_state = (policy.probs * mdp.reward).sum(axis=1)
         s = 0
         visits = np.empty(num_steps, dtype=np.int64)
@@ -354,8 +379,9 @@ class TestSamplerMatchesPerStepReference:
 
 
 class TestQLearningMatchesPerStepReference:
-    """The list-based loop makes the same random calls and the same float64
-    updates as the original numpy loop (tests/helpers.py)."""
+    """The list-based loop, decoding the generator's raw stream, draws the
+    same numbers and makes the same float64 updates as the original numpy
+    loop's random() and integers() calls (tests/helpers.py)."""
 
     def test_small_mdps(self):
         for k, mdp in enumerate(small_mdps()):
@@ -365,6 +391,59 @@ class TestQLearningMatchesPerStepReference:
     def test_taxi(self):
         args = (build_taxi(), 15, 0.1, 0.2, 0.95, 4, 100)
         assert np.array_equal(_q_learning_table(*args), reference_q_table(*args))
+
+    def test_high_epsilon(self):
+        # most steps explore, so most 32-bit draws take the buffered high
+        # half of the word an earlier draw split
+        for k, mdp in enumerate(small_mdps()):
+            args = (mdp, 30, 0.9, 0.3, 0.9, 40 + k, 100)
+            assert np.array_equal(_q_learning_table(*args), reference_q_table(*args))
+
+    @pytest.mark.parametrize("num_actions", [1, 2, 3, 5, 7])
+    def test_random_mdps(self, num_actions):
+        rng = np.random.default_rng(num_actions)
+        mdp = random_mdp(rng, 8, num_actions)
+        for epsilon in (0.2, 0.9):
+            args = (mdp, 40, epsilon, 0.3, 0.9, num_actions, 50)
+            assert np.array_equal(_q_learning_table(*args), reference_q_table(*args))
+
+    def test_run_spans_several_raw_batches(self, monkeypatch):
+        # 5-word batches: words left over from one batch carry into the
+        # next, also while a high half is buffered
+        monkeypatch.setattr(mdp_module, "_RAW_BATCH", 5)
+        for k, mdp in enumerate(small_mdps()):
+            args = (mdp, 20, 0.5, 0.3, 0.9, 60 + k, 30)
+            assert np.array_equal(_q_learning_table(*args), reference_q_table(*args))
+
+
+class TestBoundedDraw:
+    """``_bounded_draw`` reproduces ``Generator.integers(bound)`` from
+    32-bit draws, Lemire's rejection loop included."""
+
+    def test_crafted_draws(self):
+        top = (1 << 32) - 1
+        # 0 * 6 has low bits 0 < 2**32 % 6 = 4: rejected, the next draw decides
+        draws = iter([0, top, 1])
+        assert _bounded_draw(draws.__next__, 6) == 5
+        assert next(draws) == 1
+        assert _bounded_draw(iter([0, 0, (1 << 31) + 1]).__next__, 6) == 3
+        assert _bounded_draw(iter([top]).__next__, 7) == 6
+        assert _bounded_draw(iter([1 << 31]).__next__, 2) == 1
+        # a power of two has threshold 0, so word 0 is accepted
+        assert _bounded_draw(iter([0]).__next__, 4) == 0
+        # integers(1) draws nothing
+        assert _bounded_draw(iter([]).__next__, 1) == 0
+
+    @pytest.mark.parametrize("bound", [2, 3, 6, 7, 1000, 3 << 30, (1 << 31) + 1, 1 << 32])
+    def test_matches_generator_integers(self, bound):
+        # 3 << 30 rejects about one draw in four and 2**31 + 1 about one in
+        # two; 2**32 takes every draw as it is
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            words = np.random.default_rng(seed).bit_generator.random_raw(2000).tolist()
+            halves = iter([half for w in words for half in (w & 0xFFFFFFFF, w >> 32)])
+            for _ in range(300):
+                assert _bounded_draw(halves.__next__, bound) == int(rng.integers(bound))
 
 
 class TestQLearning:
