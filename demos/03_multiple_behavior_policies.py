@@ -33,7 +33,7 @@ for seed in range(SEEDS):
     trajectories, data = generate_cell_data(mdp, behaviors, num_traj=200,
                                             horizon=200, data_seed=seed)
     for method in METHODS:
-        est, _ = run_method(method, mdp, target, behaviors, trajectories, data,
+        est, _ = run_method(method, target, behaviors, trajectories, data,
                             KernelSpec.state_delta(), SolverParams(iters=200000))
         estimates[method].append(est)
 

@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .envs import ENVIRONMENTS, build_environment
-from .harness import (ExperimentConfig, InvalidConfig, emit_csv, load_config,
-                      make_policies, run_experiment, summarize_mse, summarize_tv)
-from .mdp import average_reward, stationary_distribution
+from .harness import (ExperimentConfig, InvalidConfig, _cell_context, emit_csv,
+                      load_config, run_experiment, summarize_mse, summarize_tv)
 
 
 def _out_dir(cfg, args) -> Path:
@@ -61,11 +60,8 @@ def _cmd_tv(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    mdp = build_environment(args.environment)
-    cfg = ExperimentConfig(environment=args.environment)
-    target, _ = make_policies(mdp, cfg, args.seed)
-    dist = stationary_distribution(mdp, target)
-    value = average_reward(mdp, target, dist=dist)
+    *_, value, dist = _cell_context(ExperimentConfig(environment=args.environment),
+                                    args.seed)
     print(f"environment = {args.environment}")
     print(f"average_reward = {value:.12g}")
     print("stationary_distribution = "

@@ -92,12 +92,13 @@ class KernelSpec:
 class QuadraticForm:
     """Symmetric PSD form representing an objective x -> scale * x' A x.
 
-    ``entries`` holds A as a dense array or, for the delta kernels, as a
-    CSR matrix in canonical form; :attr:`matrix` is always dense.  The
-    data-average normalization (1 / total-weight-squared) is kept as the
-    separate ``scale`` scalar instead of being folded into the entries: with
-    unit sample weights the accumulated Gram matrix is integer-valued, so
-    exact cancellations (for example a residual that is identically zero on
+    ``entries`` holds A as the solver multiplies by it: CSR when A has at
+    least 512 rows and fewer than a quarter of its entries nonzero, dense
+    otherwise; :attr:`matrix` is always dense.  The data-average
+    normalization (1 / total-weight-squared) is kept as the separate
+    ``scale`` scalar instead of being folded into the entries: with unit
+    sample weights the accumulated Gram matrix is integer-valued, so exact
+    cancellations (for example a residual that is identically zero on
     on-policy data) survive in floating point.
     """
 
@@ -107,11 +108,17 @@ class QuadraticForm:
 
     def __post_init__(self):
         if sparse.issparse(self.entries):
-            self.entries = self.entries.tocsr().astype(np.float64, copy=False)
+            entries = self.entries.tocsr().astype(np.float64, copy=False)
+            nnz = entries.nnz
         else:
-            self.entries = np.asarray(self.entries, dtype=np.float64)
-        if self.entries.shape != (self.dim, self.dim):
+            entries = np.asarray(self.entries, dtype=np.float64)
+            nnz = np.count_nonzero(entries)
+        if entries.shape != (self.dim, self.dim):
             raise ValueError(f"matrix must be ({self.dim}, {self.dim})")
+        if self.dim >= 512 and nnz < 0.25 * self.dim**2:
+            self.entries = sparse.csr_matrix(entries)
+        else:
+            self.entries = entries if isinstance(entries, np.ndarray) else entries.toarray()
 
     @property
     def matrix(self) -> np.ndarray:
@@ -121,28 +128,16 @@ class QuadraticForm:
             return self.entries.toarray()
         return self.entries
 
-    @property
-    def nnz(self) -> int:
-        """Number of nonzero entries of A."""
-        if sparse.issparse(self.entries):
-            return self.entries.nnz
-        return int(np.count_nonzero(self.entries))
-
     def value(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)
         return self.scale * float(x @ (self.entries @ x))
 
-    def normalized_matrix(self) -> np.ndarray:
-        """The objective's matrix with the scale folded in, dense."""
-        return self.scale * self.matrix
-
 
 @dataclass
 class SolverParams:
-    """Projected-gradient settings.  ``step`` None means 0.5 / lambda_max(A)
-    with lambda_max estimated by power iteration."""
+    """Projected-gradient settings: the iteration budget, and the seed of
+    the power iteration that estimates lambda_max(A) for the step size."""
 
-    step: float | None = None
     iters: int = 20000
     seed: int = 0
 
@@ -208,7 +203,7 @@ def importance_ratios(data: TransitionDataset, target: TabularPolicy,
 
 
 def _kernel_quadratic(left, kernel: KernelSpec, gram, w_total: float) -> QuadraticForm:
-    """The symmetrized form left K left' / W^2 of a sparse factor ``left``:
+    """The symmetric form left K left' / W^2 of a sparse factor ``left``:
     K is the identity for the delta kernels, which keeps the form sparse, and
     ``gram()``, a dense Gram matrix, for the gaussian one."""
     if kernel.kind == "gaussian-on-embedding":
@@ -216,12 +211,11 @@ def _kernel_quadratic(left, kernel: KernelSpec, gram, w_total: float) -> Quadrat
         mat = dense @ gram() @ dense.T
         mat = 0.5 * (mat + mat.T)
     else:
-        mat = left @ left.T
-        # entry (i, j) is 0.5 * (P[i, j] + P[j, i]), as in a dense symmetrization
-        mat = mat.tocsr() + mat.T
-        mat.data *= 0.5
-        mat.eliminate_zeros()
-        mat.sort_indices()
+        # already exactly symmetric: SpGEMM sums the products for (i, j) and
+        # (j, i) over the same k in the same ascending order, and IEEE
+        # products commute
+        mat = (left @ left.T).tocsr()
+        mat.sort_indices()  # CSR matvecs add in stored order
     return QuadraticForm(mat, left.shape[0], scale=1.0 / w_total**2)
 
 
@@ -303,9 +297,8 @@ def _lambda_max(matrix, dim: int, seed: int, iters: int = 200) -> float:
     return float(v @ (matrix @ v))
 
 
-def solve_normalized_quadratic(A: QuadraticForm, reference, step: float | None = None,
-                               iters: int = 20000, seed: int = 0,
-                               trace: list | None = None) -> np.ndarray:
+def solve_normalized_quadratic(A: QuadraticForm, reference, iters: int = 20000,
+                               seed: int = 0, trace: list | None = None) -> np.ndarray:
     """Approximately minimize x' A x subject to x >= 0 and reference . x = 1.
 
     Projected gradient descent from x = 1: gradient step, clip at zero,
@@ -313,34 +306,28 @@ def solve_normalized_quadratic(A: QuadraticForm, reference, step: float | None =
     rescaled objective x -> f(x / reference.x), i.e. 2 A x - 2 f(x) ref at a
     feasible point; the plain gradient's radial component would be undone by
     the rescale and leave spurious fixed points wherever A x is parallel
-    to x.  The step starts at 0.5 / lambda_max(A); iterates that would
-    increase the objective are rejected and the step halved, accepted steps
-    let it grow again (up to 50x the initial step, which speeds up badly
-    conditioned problems without weakening the safeguard), so the objective
-    is non-increasing across accepted iterates.  Stops after ``iters``
-    iterations or when the objective decrease over 100 iterations falls
-    below 1e-12.  Pass a list as ``trace`` to record accepted objective
-    values.
+    to x.  The step starts at 0.5 / lambda_max(A), with lambda_max
+    estimated by power iteration from a start drawn with ``seed``; iterates
+    that would increase the objective are rejected and the step halved,
+    accepted steps let it grow again (up to 50x the initial step, which
+    speeds up badly conditioned problems without weakening the safeguard),
+    so the objective is non-increasing across accepted iterates.  Stops
+    after ``iters`` iterations or when the objective decrease over 100
+    iterations falls below 1e-12.  Pass a list as ``trace`` to record
+    accepted objective values.
     """
     reference = np.asarray(reference, dtype=np.float64)
     if np.any(reference < 0):
         raise ValueError("reference must be nonnegative")
     if reference.sum() <= 0:
         raise DegenerateReference("reference has no mass anywhere")
-    scale = A.scale
-    if A.dim >= 512 and A.nnz < 0.25 * A.dim**2:
-        matrix = sparse.csr_matrix(A.entries)  # matvec speed only; same iterates
-    else:
-        matrix = A.matrix
+    matrix, scale = A.entries, A.scale
     x = np.ones(A.dim)
     x /= reference @ x
-    if step is None:
-        lam = scale * _lambda_max(matrix, A.dim, seed)
-        if lam <= 1e-300:
-            return x
-        step = 0.5 / lam
-    elif step <= 0:
-        raise ValueError("step must be positive")
+    lam = scale * _lambda_max(matrix, A.dim, seed)
+    if lam <= 1e-300:
+        return x
+    step = 0.5 / lam
     step_cap = 50.0 * step
     y = matrix @ x
     f = scale * float(x @ y)
@@ -382,8 +369,8 @@ def learn_bch(data: TransitionDataset, target: TabularPolicy, denom_policy,
     solver = solver or SolverParams()
     qf = assemble_state_quadratic(data, target, denom_policy, kernel, target.num_states)
     reference = empirical_state_distribution(data, target.num_states)
-    x = solve_normalized_quadratic(qf, reference.probs, step=solver.step,
-                                   iters=solver.iters, seed=solver.seed)
+    x = solve_normalized_quadratic(qf, reference.probs, iters=solver.iters,
+                                   seed=solver.seed)
     return CorrectionVector(x, reference)
 
 
@@ -413,8 +400,6 @@ def learn_sadl(data: TransitionDataset, target: TabularPolicy,
     average of u(s_i, a_i) pi(a_i|s_i) equals 1, which makes the matching
     reward estimator self-normalizing.
     """
-    if len(data) == 0:
-        raise ValueError("dataset must be nonempty")
     num_states, num_actions = target.probs.shape
     if action_weighting is None:
         action_weighting = np.full(num_actions, 1.0 / num_actions)
@@ -427,6 +412,6 @@ def learn_sadl(data: TransitionDataset, target: TabularPolicy,
     freq /= freq.sum()
     reference = freq * target.probs
     scale = reference.sum()
-    x = solve_normalized_quadratic(qf, reference.ravel() / scale, step=solver.step,
-                                   iters=solver.iters, seed=solver.seed)
+    x = solve_normalized_quadratic(qf, reference.ravel() / scale, iters=solver.iters,
+                                   seed=solver.seed)
     return StateActionCorrection((x / scale).reshape(num_states, num_actions), reference)

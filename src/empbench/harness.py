@@ -112,9 +112,6 @@ class ExperimentConfig:
             raise InvalidConfig("at least one behavior epsilon is required")
         if any(not 0 < e <= 1 for e in self.behavior_epsilons):
             raise InvalidConfig("behavior epsilons must be in (0, 1]")
-        if self.solver.step is not None and not 0 < self.solver.step < float("inf"):
-            raise InvalidConfig("solver.step must be a finite number > 0 "
-                                "(omit it for the automatic step)")
         if self.solver.iters < 1:
             raise InvalidConfig("solver.iters must be >= 1")
 
@@ -137,7 +134,6 @@ _CONFIG_KEYS = {
     "target.gamma": ("target", "gamma", float),
     "kernel.kind": ("kernel", "kind", str),
     "kernel.bandwidth": ("kernel", "bandwidth", float),
-    "solver.step": ("solver", "step", float),
     "solver.iters": ("solver", "iters", int),
     "output": ("", "output", str),
 }
@@ -305,7 +301,7 @@ def _run_state_method(spec: StateMethod, target, behaviors, data: TransitionData
     return mis_reward_estimate(data, omegas, denoms, target, heur), dist
 
 
-def run_method(method: str, mdp, target, behaviors, trajectories,
+def run_method(method: str, target, behaviors, trajectories,
                data: TransitionDataset, kernel: KernelSpec, solver: SolverParams):
     """Dispatch one method (a ``STATE_METHODS`` row, ``sadl`` or ``wis``);
     returns (estimate, implied state distribution, or None unless the
@@ -356,8 +352,8 @@ def _run_cell(args):
         solver = replace(cfg.solver, seed=_derive_seed(
             master_seed, _TAG_SOLVER, num_traj, horizon, seed, METHOD_NAMES.index(method)))
         start = time.perf_counter()
-        estimate, dist = run_method(method, mdp, target, behaviors, trajectories,
-                                    data, cfg.kernel, solver)
+        estimate, dist = run_method(method, target, behaviors, trajectories, data,
+                                    cfg.kernel, solver)
         elapsed = int(round((time.perf_counter() - start) * 1000)) if measure_time else 0
         tv = tv_distance(dist, d_target) if dist is not None else None
         records.append(ResultRecord(cfg.environment, method, num_traj, horizon, seed,

@@ -138,7 +138,7 @@ def test_criterion_2_grouped_assembly_matches_naive_double_sum():
     elapsed = time.monotonic() - start
 
     oracle = naive_state_quadratic(data, target, denom, lambda x, y: float(x == y), 4)
-    state_err = float(np.abs(qf.normalized_matrix() - oracle).max())
+    state_err = float(np.abs(qf.scale * qf.matrix - oracle).max())
     sa_err = 0.0
     for _ in range(5):
         u = rng.random((4, 3))

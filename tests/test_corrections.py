@@ -81,7 +81,7 @@ class TestStateQuadratic:
         target, denom = random_policy(rng, 5, 3), random_policy(rng, 5, 3)
         data = random_dataset(rng, 5, 3, 40, unit_weights=False)
         qf = assemble_state_quadratic(data, target, denom, KernelSpec.state_delta(), 5)
-        mat = qf.normalized_matrix()
+        mat = qf.scale * qf.matrix
         np.testing.assert_allclose(mat, mat.T, atol=1e-10)
         assert np.linalg.eigvalsh(mat).min() >= -1e-8
 
@@ -92,7 +92,7 @@ class TestStateQuadratic:
         qf = assemble_state_quadratic(data, target, denom, KernelSpec.state_delta(), 3)
         oracle = naive_state_quadratic(data, target, denom,
                                        lambda x, y: float(x == y), 3)
-        np.testing.assert_allclose(qf.normalized_matrix(), oracle, atol=1e-12)
+        np.testing.assert_allclose(qf.scale * qf.matrix, oracle, atol=1e-12)
 
     def test_matches_naive_double_sum_gaussian(self):
         rng = np.random.default_rng(5)
@@ -106,7 +106,7 @@ class TestStateQuadratic:
             return float(np.exp(-(0.0 if x == y else 2.0) / (2 * bandwidth**2)))
 
         oracle = naive_state_quadratic(data, target, denom, kfunc, 3)
-        np.testing.assert_allclose(qf.normalized_matrix(), oracle, atol=1e-12)
+        np.testing.assert_allclose(qf.scale * qf.matrix, oracle, atol=1e-12)
 
     def test_quadratic_homogeneity(self):
         rng = np.random.default_rng(6)
@@ -164,7 +164,7 @@ class TestStateActionQuadratic:
         data = random_dataset(rng, 4, 3, 30, unit_weights=False)
         qf = assemble_state_action_quadratic(data, target, np.full(3, 1 / 3),
                                              KernelSpec.state_action_delta(), 4, 3)
-        mat = qf.normalized_matrix()
+        mat = qf.scale * qf.matrix
         np.testing.assert_allclose(mat, mat.T, atol=1e-10)
         assert np.linalg.eigvalsh(mat).min() >= -1e-8
 
@@ -231,36 +231,57 @@ def assert_same_csr(actual, expected):
 
 
 class TestSparseQuadraticForms:
-    """Delta-kernel forms are symmetrized in sparse and hold the same
-    doubles as the original dense symmetrization (tests/helpers.py)."""
+    """Delta-kernel forms are the sparse product of their factor, which is
+    exactly symmetric, and hold the same doubles as the original dense
+    symmetrization (tests/helpers.py)."""
 
     def test_taxi_state_forms_match_dense(self, monkeypatch, taxi_cell):
         mdp, target, behaviors, data = taxi_cell
-        for denom in (behaviors, estimate_policy_mle(data, 2000, 6)):
+        cases = [(data, target, denom, 2000)
+                 for denom in (behaviors, estimate_policy_mle(data, 2000, 6))]
+        # random data over 600 states, most of them unvisited
+        rng = np.random.default_rng(40)
+        for unit_weights in (True, False):
+            cases.append((random_dataset(rng, 600, 3, 400, unit_weights),
+                          random_policy(rng, 600, 3), random_policy(rng, 600, 3), 600))
+        for data, target, denom, num_states in cases:
             qf, left = assemble_with_factor(monkeypatch, assemble_state_quadratic, data,
-                                            target, denom, KernelSpec.state_delta(), 2000)
+                                            target, denom, KernelSpec.state_delta(),
+                                            num_states)
             dense = reference_delta_quadratic(left)
-            assert isinstance(qf.matrix, np.ndarray) and np.array_equal(qf.matrix, dense)
-            assert qf.nnz == np.count_nonzero(dense) < 0.25 * 2000**2
-            # the solver's CSR is the one it used to convert the dense form to
+            assert np.array_equal(qf.matrix, dense)
+            assert qf.entries.nnz == np.count_nonzero(dense) < 0.25 * num_states**2
             assert_same_csr(qf.entries, sparse.csr_matrix(dense))
 
     def test_small_state_action_form_matches_dense(self, monkeypatch):
         mdp = build_gridworld()
         rng = np.random.default_rng(41)
         behavior, target = random_soft_policy(rng, 16, 4), random_soft_policy(rng, 16, 4)
-        data = population_dataset(mdp, behavior)
-        qf, left = assemble_with_factor(monkeypatch, assemble_state_action_quadratic, data,
-                                        target, np.full(4, 0.25),
-                                        KernelSpec.state_action_delta(), 16, 4)
-        dense = reference_delta_quadratic(left)
-        assert np.array_equal(qf.matrix, dense)
-        assert_same_csr(qf.entries, sparse.csr_matrix(dense))
+        cases = [(population_dataset(mdp, behavior), target, 16, 4)]
+        # random data, weighted or not; 300 records leave most of the
+        # 200 x 3 pairs unvisited, and 600 variables are stored as CSR
+        for num_states, num_actions, n in ((4, 3, 30), (200, 3, 300)):
+            for unit_weights in (True, False):
+                cases.append((random_dataset(rng, num_states, num_actions, n, unit_weights),
+                              random_policy(rng, num_states, num_actions),
+                              num_states, num_actions))
+        for data, target, num_states, num_actions in cases:
+            qf, left = assemble_with_factor(monkeypatch, assemble_state_action_quadratic,
+                                            data, target, np.full(num_actions, 1 / num_actions),
+                                            KernelSpec.state_action_delta(), num_states,
+                                            num_actions)
+            dense = reference_delta_quadratic(left)
+            assert np.array_equal(qf.matrix, dense)
+            if qf.dim >= 512:
+                assert_same_csr(qf.entries, sparse.csr_matrix(dense))
+            else:
+                assert isinstance(qf.entries, np.ndarray)
 
     def test_solver_multiplies_sparse_only_when_large_and_sparse(self, monkeypatch,
                                                                  taxi_cell):
-        # the rule that decides the matvec, and with it the rounding:
-        # CSR at >= 512 variables and density < 0.25, dense otherwise
+        # the form stores, and the solver multiplies by, CSR at >= 512
+        # variables and density < 0.25, dense otherwise; the choice decides
+        # the matvec and with it the rounding
         mdp, target, behaviors, data = taxi_cell
         used = []
         lambda_max = corrections._lambda_max
@@ -272,25 +293,30 @@ class TestSparseQuadraticForms:
         monkeypatch.setattr(corrections, "_lambda_max", spy)
         taxi = assemble_state_quadratic(data, target, behaviors, KernelSpec.state_delta(), 2000)
         small = sparse.random(511, 511, density=0.01, random_state=1)
+        quarter = np.zeros((512, 512))
+        quarter[:256, :256] = 1.0  # exactly a quarter of the entries nonzero
+        below = quarter.copy()
+        below[0, 0] = 0.0
         cases = [(taxi, True), (QuadraticForm(np.eye(512), 512), True),
+                 (QuadraticForm(below, 512), True),
                  (QuadraticForm(small @ small.T, 511), False),
+                 (QuadraticForm(quarter, 512), False),
+                 (QuadraticForm(sparse.csr_matrix(quarter), 512), False),
                  (QuadraticForm(np.ones((512, 512)), 512), False)]
         for form, csr in cases:
             solve_normalized_quadratic(form, np.full(form.dim, 1.0 / form.dim), iters=1)
-            assert sparse.issparse(used[-1]) == csr
+            assert used[-1] is form.entries
             if csr:
-                assert_same_csr(used[-1], sparse.csr_matrix(form.matrix))
+                assert_same_csr(form.entries, sparse.csr_matrix(form.matrix))
             else:
-                assert np.array_equal(used[-1], form.matrix)
+                assert isinstance(form.entries, np.ndarray)
 
     def test_form_accepts_dense_and_sparse_entries(self):
         dense = np.array([[2.0, -1.0], [-1.0, 2.0]])
         for entries in (dense, sparse.coo_matrix(dense)):
             qf = QuadraticForm(entries, 2, scale=0.5)
-            assert isinstance(qf.matrix, np.ndarray) and np.array_equal(qf.matrix, dense)
-            assert qf.nnz == 4
+            assert isinstance(qf.entries, np.ndarray) and np.array_equal(qf.matrix, dense)
             assert qf.value([1.0, 2.0]) == 0.5 * 6.0
-            assert np.array_equal(qf.normalized_matrix(), 0.5 * dense)
         with pytest.raises(ValueError):
             QuadraticForm(sparse.eye(3), 2)
 
@@ -363,12 +389,13 @@ class TestSolver:
         with pytest.raises(DegenerateReference):
             solve_normalized_quadratic(qf, np.zeros(2))
 
-    def test_reference_collapsing_to_clipped_coordinate_raises(self):
-        # an oversized explicit step clips away the only coordinate the
-        # reference weights
+    def test_reference_collapsing_to_clipped_coordinate_raises(self, monkeypatch):
+        # an underestimated lambda_max makes the step 0.5 / 0.05 = 10, which
+        # clips away the only coordinate the reference weights
+        monkeypatch.setattr(corrections, "_lambda_max", lambda *args: 0.05)
         qf = QuadraticForm(np.array([[1.0, -2.0], [-2.0, 5.0]]), 2)
         with pytest.raises(DegenerateReference):
-            solve_normalized_quadratic(qf, np.array([0.0, 1.0]), step=10.0)
+            solve_normalized_quadratic(qf, np.array([0.0, 1.0]))
 
 
 @pytest.fixture(scope="module")

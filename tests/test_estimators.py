@@ -270,8 +270,8 @@ class TestStepwiseWis:
         assert np.isfinite(est)
 
 
-def run_state_method(method, mdp, target, behaviors, data):
-    estimate, _ = run_method(method, mdp, target, behaviors, [], data,
+def run_state_method(method, target, behaviors, data):
+    estimate, _ = run_method(method, target, behaviors, [], data,
                              KernelSpec.state_delta(), SolverParams())
     return estimate
 
@@ -281,17 +281,17 @@ class TestEmpSingle:
         mdp, behavior, _, target = singlepath_setup
         trajs = sample_trajectories(mdp, behavior, 20, 60, seed=18)
         data = TransitionDataset.from_trajectories(trajs)
-        single = run_state_method("emp-single", mdp, target, [behavior], data)
+        single = run_state_method("emp-single", target, [behavior], data)
         omega = learn_emp(data, target)
         pi_hat = estimate_policy_mle(data, 5, 2)
         pooled = ratio_reward_estimate(data, omega, target, pi_hat)
         assert single == pytest.approx(pooled, rel=1e-12)
 
     def test_unlabeled_data_raises(self, singlepath_setup):
-        mdp, b1, b2, target = singlepath_setup
+        _, b1, b2, target = singlepath_setup
         data = TransitionDataset(s=[0], a=[0], sp=[1], r=[1.0])
         with pytest.raises(MissingLabel):
-            run_state_method("emp-single", mdp, target, [b1, b2], data)
+            run_state_method("emp-single", target, [b1, b2], data)
 
 
 class TestKlEmp:
@@ -299,7 +299,7 @@ class TestKlEmp:
         mdp, behavior, _, target = singlepath_setup
         trajs = sample_trajectories(mdp, behavior, 20, 60, seed=19)
         data = TransitionDataset.from_trajectories(trajs)
-        kl_est = run_state_method("kl-emp", mdp, target, [behavior], data)
+        kl_est = run_state_method("kl-emp", target, [behavior], data)
         omega = learn_emp(data, target)
         pi_hat = estimate_policy_mle(data, 5, 2)
         plain = ratio_reward_estimate(data, omega, target, pi_hat)
@@ -317,5 +317,5 @@ class TestKlEmp:
         trajs += sample_trajectories(mdp, behavior, 10, 50, seed=21, label=1)
         data = TransitionDataset.from_trajectories(trajs)
         # runs end to end; label-1 records end up with zero weight
-        est = run_state_method("kl-emp", mdp, target, [behavior, behavior], data)
+        est = run_state_method("kl-emp", target, [behavior, behavior], data)
         assert np.isfinite(est)

@@ -81,7 +81,6 @@ KEY_CASES = {
     # a bandwidth needs the gaussian kernel; the delta kernels reject one
     "kernel.bandwidth": ("1.5\nkernel.kind = gaussian-on-embedding",
                          lambda c: replace(c, kernel=KernelSpec.gaussian(1.5))),
-    "solver.step": ("0.25", lambda c: replace(c, solver=SolverParams(step=0.25))),
     "solver.iters": ("123", lambda c: replace(c, solver=SolverParams(iters=123))),
     "output": ("elsewhere", lambda c: replace(c, output="elsewhere")),
 }
@@ -157,17 +156,14 @@ class TestParseConfig:
         with pytest.raises(InvalidConfig):
             parse_config("environment = pendulum\n")
 
-    def test_absent_step_means_automatic(self):
-        assert parse_config("seeds = 2\n").solver.step is None
-        assert parse_config("solver.step = 0.25\n").solver.step == 0.25
-
-    def test_zero_step_rejected(self):
-        with pytest.raises(InvalidConfig):
-            parse_config("solver.step = 0\n")
-
-    def test_negative_step_rejected(self):
-        with pytest.raises(InvalidConfig):
-            parse_config("solver.step = -0.5\n")
+    def test_solver_step_is_not_a_key(self, tmp_path, capsys):
+        # the solver's step is always 0.5 / lambda_max of the form
+        with pytest.raises(InvalidConfig, match="line 1: unknown key 'solver.step'"):
+            parse_config("solver.step = 0.25\n")
+        config = tmp_path / "exp.cfg"
+        config.write_text(TINY_CONFIG + "solver.step = 0.25\n", encoding="utf-8")
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown key 'solver.step'" in capsys.readouterr().err
 
     def test_zero_iters_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -244,17 +240,17 @@ class TestRunMethod:
 
     @pytest.mark.parametrize("method", sorted(STATE_METHODS))
     def test_empty_data_raises(self, method):
-        mdp, target, behaviors = behavior_setup("singlepath")
+        _, target, behaviors = behavior_setup("singlepath")
         empty = TransitionDataset(s=[], a=[], sp=[], r=[], labels=[])
         with pytest.raises(ValueError):
-            run_method(method, mdp, target, behaviors, [], empty,
+            run_method(method, target, behaviors, [], empty,
                        KernelSpec.state_delta(), SolverParams())
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_one_behavior_reports_tv_for_every_state_method(self, method):
         mdp, target, behaviors = behavior_setup("singlepath", (0.3,))
         trajectories, data = generate_cell_data(mdp, behaviors, 4, 30, 0)
-        _, dist = run_method(method, mdp, target, behaviors, trajectories, data,
+        _, dist = run_method(method, target, behaviors, trajectories, data,
                              KernelSpec.state_delta(), SolverParams(iters=2000))
         assert (dist is not None) == (method in STATE_METHODS)
 
@@ -265,7 +261,7 @@ class TestRunMethod:
         reported = []
         for num_traj in (1, 3):
             trajectories, data = generate_cell_data(mdp, behaviors, num_traj, 30, 0)
-            _, dist = run_method(method, mdp, target, behaviors, trajectories, data,
+            _, dist = run_method(method, target, behaviors, trajectories, data,
                                  KernelSpec.state_delta(), SolverParams(iters=2000))
             reported.append(dist is not None)
         assert reported == [True, STATE_METHODS[method].grouping == "pooled"]
@@ -281,10 +277,10 @@ class TestRunMethod:
         mdp, target, behaviors = behavior_setup(environment)
         trajectories, data = generate_cell_data(mdp, behaviors, num_traj, 40, data_seed)
         kernel, solver = KernelSpec.state_delta(), SolverParams(iters=2000, seed=data_seed)
-        est, dist = run_method(method, mdp, target, behaviors, trajectories, data,
+        est, dist = run_method(method, target, behaviors, trajectories, data,
                                kernel, solver)
         doubled = data.with_weights(2.0 * data.weights)
-        est2, dist2 = run_method(method, mdp, target, behaviors, trajectories, doubled,
+        est2, dist2 = run_method(method, target, behaviors, trajectories, doubled,
                                  kernel, solver)
         assert est2 == est
         assert (dist is None) == (dist2 is None)
