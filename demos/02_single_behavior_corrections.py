@@ -20,6 +20,7 @@ from empbench import (SolverParams, TransitionDataset, average_reward,
 from empbench.policies import estimate_policy_mle
 
 SEEDS = 10
+solver = SolverParams(iters=30000)
 
 mdp = build_gridworld()
 target = train_q_learning_policy(mdp, episodes=2000, epsilon=0.1, alpha=0.2,
@@ -33,7 +34,6 @@ rows = []
 for seed in range(SEEDS):
     trajs = sample_trajectories(mdp, behavior, num_traj=100, horizon=200, seed=seed)
     data = TransitionDataset.from_trajectories(trajs)
-    solver = SolverParams(iters=30000, seed=seed)
 
     omega_aware = learn_bch(data, target, behavior, solver=solver)
     est_aware = ratio_reward_estimate(data, omega_aware, target, behavior)

@@ -135,11 +135,10 @@ class QuadraticForm:
 
 @dataclass
 class SolverParams:
-    """Projected-gradient settings: the iteration budget, and the seed of
-    the power iteration that estimates lambda_max(A) for the step size."""
+    """Projected-gradient settings: the iteration budget.  The solve has no
+    other input, so equal problems give equal corrections."""
 
     iters: int = 20000
-    seed: int = 0
 
 
 @dataclass
@@ -284,9 +283,10 @@ def assemble_state_action_quadratic(data: TransitionDataset, target: TabularPoli
                              float(data.weights.sum()))
 
 
-def _lambda_max(matrix, dim: int, seed: int, iters: int = 200) -> float:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim)
+def _lambda_max(matrix, dim: int, iters: int = 200) -> float:
+    # a fixed random start: the all-ones vector lies in the null space of
+    # A on on-policy data
+    v = np.random.default_rng(0).standard_normal(dim)
     v /= np.linalg.norm(v)
     for _ in range(iters):
         w = matrix @ v
@@ -298,7 +298,7 @@ def _lambda_max(matrix, dim: int, seed: int, iters: int = 200) -> float:
 
 
 def solve_normalized_quadratic(A: QuadraticForm, reference, iters: int = 20000,
-                               seed: int = 0, trace: list | None = None) -> np.ndarray:
+                               trace: list | None = None) -> np.ndarray:
     """Approximately minimize x' A x subject to x >= 0 and reference . x = 1.
 
     Projected gradient descent from x = 1: gradient step, clip at zero,
@@ -307,7 +307,8 @@ def solve_normalized_quadratic(A: QuadraticForm, reference, iters: int = 20000,
     feasible point; the plain gradient's radial component would be undone by
     the rescale and leave spurious fixed points wherever A x is parallel
     to x.  The step starts at 0.5 / lambda_max(A), with lambda_max
-    estimated by power iteration from a start drawn with ``seed``; iterates
+    estimated by 200 power iterations from one fixed pseudo-random start,
+    so the result depends only on A, the reference and ``iters``; iterates
     that would increase the objective are rejected and the step halved,
     accepted steps let it grow again (up to 50x the initial step, which
     speeds up badly conditioned problems without weakening the safeguard),
@@ -324,7 +325,7 @@ def solve_normalized_quadratic(A: QuadraticForm, reference, iters: int = 20000,
     matrix, scale = A.entries, A.scale
     x = np.ones(A.dim)
     x /= reference @ x
-    lam = scale * _lambda_max(matrix, A.dim, seed)
+    lam = scale * _lambda_max(matrix, A.dim)
     if lam <= 1e-300:
         return x
     step = 0.5 / lam
@@ -369,8 +370,7 @@ def learn_bch(data: TransitionDataset, target: TabularPolicy, denom_policy,
     solver = solver or SolverParams()
     qf = assemble_state_quadratic(data, target, denom_policy, kernel, target.num_states)
     reference = empirical_state_distribution(data, target.num_states)
-    x = solve_normalized_quadratic(qf, reference.probs, iters=solver.iters,
-                                   seed=solver.seed)
+    x = solve_normalized_quadratic(qf, reference.probs, iters=solver.iters)
     return CorrectionVector(x, reference)
 
 
@@ -412,6 +412,5 @@ def learn_sadl(data: TransitionDataset, target: TabularPolicy,
     freq /= freq.sum()
     reference = freq * target.probs
     scale = reference.sum()
-    x = solve_normalized_quadratic(qf, reference.ravel() / scale, iters=solver.iters,
-                                   seed=solver.seed)
+    x = solve_normalized_quadratic(qf, reference.ravel() / scale, iters=solver.iters)
     return StateActionCorrection((x / scale).reshape(num_states, num_actions), reference)

@@ -214,7 +214,7 @@ def _derive_seed(*parts) -> int:
 
 
 # tags separating independent randomness streams under one master seed
-_TAG_TRAIN, _TAG_DATA, _TAG_SOLVER = 1, 2, 3
+_TAG_TRAIN, _TAG_DATA = 1, 2
 
 
 def make_policies(mdp, cfg: ExperimentConfig, master_seed: int):
@@ -349,11 +349,9 @@ def _run_cell(args):
     trajectories, data = generate_cell_data(mdp, behaviors, num_traj, horizon, data_seed)
     records = []
     for method in cfg.methods:
-        solver = replace(cfg.solver, seed=_derive_seed(
-            master_seed, _TAG_SOLVER, num_traj, horizon, seed, METHOD_NAMES.index(method)))
         start = time.perf_counter()
         estimate, dist = run_method(method, target, behaviors, trajectories, data,
-                                    cfg.kernel, solver)
+                                    cfg.kernel, cfg.solver)
         elapsed = int(round((time.perf_counter() - start) * 1000)) if measure_time else 0
         tv = tv_distance(dist, d_target) if dist is not None else None
         records.append(ResultRecord(cfg.environment, method, num_traj, horizon, seed,

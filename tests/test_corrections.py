@@ -362,7 +362,7 @@ class TestSolver:
             matrix = b.T @ b
             reference = rng.dirichlet(np.ones(5))
             qf = QuadraticForm(matrix, 5)
-            x = solve_normalized_quadratic(qf, reference, iters=50000, seed=trial)
+            x = solve_normalized_quadratic(qf, reference, iters=50000)
             oracle = enumerate_active_sets(matrix, reference)
             assert qf.value(x) <= oracle + 1e-4
 
@@ -371,7 +371,7 @@ class TestSolver:
         b = rng.normal(size=(6, 6))
         qf = QuadraticForm(b.T @ b, 6)
         reference = rng.dirichlet(np.ones(6))
-        x = solve_normalized_quadratic(qf, reference, seed=0)
+        x = solve_normalized_quadratic(qf, reference)
         assert np.all(x >= 0)
         assert reference @ x == pytest.approx(1.0, abs=1e-6)
 

@@ -276,7 +276,7 @@ class TestRunMethod:
         # invariant to a common weight scale, so the results agree bitwise
         mdp, target, behaviors = behavior_setup(environment)
         trajectories, data = generate_cell_data(mdp, behaviors, num_traj, 40, data_seed)
-        kernel, solver = KernelSpec.state_delta(), SolverParams(iters=2000, seed=data_seed)
+        kernel, solver = KernelSpec.state_delta(), SolverParams(iters=2000)
         est, dist = run_method(method, target, behaviors, trajectories, data,
                                kernel, solver)
         doubled = data.with_weights(2.0 * data.weights)
