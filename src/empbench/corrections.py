@@ -283,12 +283,12 @@ def assemble_state_action_quadratic(data: TransitionDataset, target: TabularPoli
                              float(data.weights.sum()))
 
 
-def _lambda_max(matrix, dim: int, iters: int = 200) -> float:
+def _lambda_max(matrix, dim: int) -> float:
     # a fixed random start: the all-ones vector lies in the null space of
     # A on on-policy data
     v = np.random.default_rng(0).standard_normal(dim)
     v /= np.linalg.norm(v)
-    for _ in range(iters):
+    for _ in range(200):
         w = matrix @ v
         norm = np.linalg.norm(w)
         if norm <= 1e-300:
@@ -391,22 +391,21 @@ def learn_emp(data: TransitionDataset, target: TabularPolicy,
 
 
 def learn_sadl(data: TransitionDataset, target: TabularPolicy,
-               action_weighting=None, kernel: KernelSpec | None = None,
+               kernel: KernelSpec | None = None,
                solver: SolverParams | None = None) -> StateActionCorrection:
     """State-action correction learner; fully policy agnostic.
 
     The learned u(s, a) absorbs the behavior policy, so no behavior policy
     (exact or estimated) appears anywhere.  Normalized so the weighted data
     average of u(s_i, a_i) pi(a_i|s_i) equals 1, which makes the matching
-    reward estimator self-normalizing.
+    reward estimator self-normalizing.  The test functions weight actions
+    uniformly (nu = 1/|A| in :func:`assemble_state_action_quadratic`).
     """
     num_states, num_actions = target.probs.shape
-    if action_weighting is None:
-        action_weighting = np.full(num_actions, 1.0 / num_actions)
     kernel = kernel or KernelSpec.state_action_delta()
     solver = solver or SolverParams()
-    qf = assemble_state_action_quadratic(data, target, action_weighting, kernel,
-                                         num_states, num_actions)
+    qf = assemble_state_action_quadratic(data, target, np.full(num_actions, 1.0 / num_actions),
+                                         kernel, num_states, num_actions)
     freq = np.zeros((num_states, num_actions))
     np.add.at(freq, (data.s, data.a), data.weights)
     freq /= freq.sum()

@@ -38,11 +38,6 @@ class UnknownMethod(ValueError):
     """A method identifier is not recognized."""
 
 
-# the order is part of the results: solver seeds derive from a method's index
-METHOD_NAMES = ("bch", "emp", "bch-pooled", "bch-kl-pooled", "emp-single",
-                "kl-emp", "sadl", "mis", "wis")
-
-
 @dataclass(frozen=True)
 class StateMethod:
     """A state-correction method as three choices.  ``denominator``:
@@ -66,6 +61,8 @@ STATE_METHODS = {
     "kl-emp": StateMethod("mle", "pooled", kl=True),
     "mis": StateMethod("mle", "mis"),
 }
+
+METHOD_NAMES = (*STATE_METHODS, "sadl", "wis")
 
 
 @dataclass
@@ -315,7 +312,7 @@ def run_method(method: str, target, behaviors, trajectories,
                                  kernel, solver)
     if method == "sadl":
         sa_kernel = kernel if kernel.kind != "state-delta" else KernelSpec.state_action_delta()
-        u = learn_sadl(data, target, None, sa_kernel, solver)
+        u = learn_sadl(data, target, sa_kernel, solver)
         return sadl_reward_estimate(data, u, target), None
     if method == "wis":
         return stepwise_wis_estimate(trajectories, target, behaviors), None

@@ -300,7 +300,6 @@ def stationary_distribution(mdp: TabularMDP, policy: TabularPolicy,
 
 
 def average_reward(mdp: TabularMDP, policy: TabularPolicy,
-                   tol: float = 1e-10, max_iters: int = 10**6,
                    dist: StateDistribution | None = None) -> float:
     """Long-run average reward sum_{s,a} d(s) pi(a|s) r(s,a).
 
@@ -308,7 +307,7 @@ def average_reward(mdp: TabularMDP, policy: TabularPolicy,
     known; otherwise it is computed by :func:`stationary_distribution`.
     """
     if dist is None:
-        dist = stationary_distribution(mdp, policy, tol=tol, max_iters=max_iters)
+        dist = stationary_distribution(mdp, policy)
     per_state = np.einsum("sa,sa->s", policy.probs, mdp.reward)
     return float(dist.probs @ per_state)
 
@@ -407,9 +406,12 @@ def check_q_learning_params(prefix: str = "", **params) -> None:
             raise ValueError(f"{prefix}{name} must be {description}")
 
 
+# the length of one Q-learning episode
+STEPS_PER_EPISODE = 100
+
+
 def train_q_learning_policy(mdp: TabularMDP, episodes: int, epsilon: float,
-                            alpha: float, gamma: float, seed: int,
-                            steps_per_episode: int = 100) -> TabularPolicy:
+                            alpha: float, gamma: float, seed: int) -> TabularPolicy:
     """Tabular Q-learning followed by epsilon-softening of the greedy policy.
 
     Exploration during training is epsilon-greedy with the same ``epsilon``
@@ -417,10 +419,11 @@ def train_q_learning_policy(mdp: TabularMDP, episodes: int, epsilon: float,
     pi(a|s) = (1 - eps) * 1{a = argmax Q(s, .)} + eps / |A|,
     argmax ties broken by lowest action index.  The environments here are
     continuing, so an episode is a fixed-length segment of
-    ``steps_per_episode`` steps starting from the initial distribution.
+    ``STEPS_PER_EPISODE`` (100) steps starting from the initial
+    distribution.
     """
     check_q_learning_params(episodes=episodes, epsilon=epsilon, alpha=alpha, gamma=gamma)
-    q = _q_learning_table(mdp, episodes, epsilon, alpha, gamma, seed, steps_per_episode)
+    q = _q_learning_table(mdp, episodes, epsilon, alpha, gamma, seed, STEPS_PER_EPISODE)
     num_states, num_actions = q.shape
     probs = np.full((num_states, num_actions), epsilon / num_actions)
     probs[np.arange(num_states), np.argmax(q, axis=1)] += 1.0 - epsilon
@@ -531,8 +534,7 @@ def _q_learning_table(mdp: TabularMDP, episodes: int, epsilon: float, alpha: flo
     return np.array(q)
 
 
-def population_dataset(mdp: TabularMDP, behaviors, weights=None,
-                       tol: float = 1e-10) -> TransitionDataset:
+def population_dataset(mdp: TabularMDP, behaviors, weights=None) -> TransitionDataset:
     """Weighted enumeration of all supported (s, a, s') triples.
 
     Record weights equal w_j * d_j(s) * pi_j(a|s) * T(s'|s, a), where d_j is
@@ -552,7 +554,7 @@ def population_dataset(mdp: TabularMDP, behaviors, weights=None,
     entry_row = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
     cols_s, cols_a, cols_sp, cols_r, cols_l, cols_w = [], [], [], [], [], []
     for j, pol in enumerate(behaviors):
-        d = stationary_distribution(mdp, pol, tol=tol).probs
+        d = stationary_distribution(mdp, pol).probs
         joint = (weights[j] * d[:, None] * pol.probs).ravel()[entry_row] * rows.data
         keep = joint != 0
         s_idx, a_idx = np.divmod(entry_row[keep], num_actions)

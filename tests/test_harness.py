@@ -235,9 +235,6 @@ def behavior_setup(environment, epsilons=(0.2, 0.4, 0.6)):
 
 
 class TestRunMethod:
-    def test_every_method_is_a_table_row_or_special_case(self):
-        assert set(METHOD_NAMES) == set(STATE_METHODS) | {"sadl", "wis"}
-
     @pytest.mark.parametrize("method", sorted(STATE_METHODS))
     def test_empty_data_raises(self, method):
         _, target, behaviors = behavior_setup("singlepath")
