@@ -10,8 +10,7 @@ combination of per-behavior estimates.
 import numpy as np
 from dataclasses import dataclass
 
-from .corrections import (CorrectionVector, RATIO_FLOOR, StateActionCorrection,
-                          importance_ratios)
+from .corrections import CorrectionVector, StateActionCorrection, importance_ratios
 from .mdp import TabularPolicy, TransitionDataset
 from .policies import WeightVector
 
@@ -98,6 +97,9 @@ def mis_reward_estimate(data: TransitionDataset, per_policy_omegas,
     per-state ratio array (oracle use).
     """
     labels = data.require_labels()
+    if np.any(labels < 0) or np.any(
+            labels >= min(len(per_policy_omegas), len(per_policy_behaviors))):
+        raise ValueError("labels must index the denominator policies")
     total = 0.0
     for j, (omega, behavior) in enumerate(zip(per_policy_omegas, per_policy_behaviors)):
         sub = data.subset(labels == j)
@@ -113,26 +115,21 @@ def mis_reward_estimate(data: TransitionDataset, per_policy_omegas,
 def stepwise_wis_estimate(trajectories, target: TabularPolicy, behaviors) -> float:
     """Step-wise weighted (self-normalized) importance sampling.
 
-    Each step carries the cumulative product of action-probability ratios
-    from the start of its trajectory; the estimate is the weight-normalized
-    average of all step rewards.  Products are accumulated in log space so
-    long horizons cannot overflow.
+    Each step carries the cumulative product of the
+    :func:`importance_ratios` of its trajectory's steps so far, with the
+    trajectory's label picking its entry of ``behaviors``; the estimate is
+    the weight-normalized average of all step rewards.  Products are
+    accumulated in log space so long horizons cannot overflow.
     """
     if len(trajectories) == 0:
         raise ValueError("trajectories must be nonempty")
-    log_weights, rewards = [], []
-    for traj in trajectories:
-        behavior = behaviors[traj.policy_label]
-        p_target = target.probs[traj.states, traj.actions]
-        p_behavior = np.maximum(behavior.probs[traj.states, traj.actions], RATIO_FLOOR)
-        with np.errstate(divide="ignore"):
-            log_rho = np.where(p_target > 0, np.log(p_target / p_behavior), -np.inf)
-        log_weights.append(np.cumsum(log_rho))
-        rewards.append(traj.rewards)
-    log_weights = np.concatenate(log_weights)
-    rewards = np.concatenate(rewards)
+    data = TransitionDataset.from_trajectories(trajectories)
+    with np.errstate(divide="ignore"):  # a zero ratio zeroes the rest of its trajectory
+        log_rho = np.log(importance_ratios(data, target, behaviors))
+    ends = np.cumsum([len(t) for t in trajectories])[:-1]
+    log_weights = np.concatenate([np.cumsum(part) for part in np.split(log_rho, ends)])
     shift = log_weights.max()
     if not np.isfinite(shift):
         return float("nan")
     w = np.exp(log_weights - shift)
-    return float((w * rewards).sum() / w.sum())
+    return float((w * data.r).sum() / w.sum())

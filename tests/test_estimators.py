@@ -207,6 +207,20 @@ class TestMisRewardEstimate:
             mis_reward_estimate(data, [omega], [b1], target,
                                 HeuristicTable(np.ones((1, 5))))
 
+    @pytest.mark.parametrize("label", [-1, 1])
+    def test_label_without_a_correction_raises(self, singlepath_setup, label):
+        # one correction and one behavior: a reward-100 record labelled
+        # outside them must not be dropped from the estimate unnoticed
+        mdp, behavior, _, target = singlepath_setup
+        data = TransitionDataset.from_trajectories(
+            sample_trajectories(mdp, behavior, 3, 20, seed=19))
+        data = TransitionDataset(np.append(data.s, 0), np.append(data.a, 0),
+                                 np.append(data.sp, 1), np.append(data.r, 100.0),
+                                 np.append(data.labels, label))
+        with pytest.raises(ValueError, match="labels must index"):
+            mis_reward_estimate(data, [unit_correction(data, 5)], [behavior], target,
+                                HeuristicTable(np.ones((1, 5))))
+
     def test_balanced_heuristic_equals_pooled_ratio_form(self, singlepath_setup):
         # with oracle ratios, the per-policy estimates combined through the
         # balanced heuristic reduce algebraically to the pooled form
@@ -268,6 +282,14 @@ class TestStepwiseWis:
         trajs = sample_trajectories(mdp, behavior, 3, 5000, seed=17)
         est = stepwise_wis_estimate(trajs, target, [behavior])
         assert np.isfinite(est)
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_outside_the_behaviors_raises(self, singlepath_setup, label):
+        # label -1 used to pick the last behavior silently
+        mdp, b1, b2, target = singlepath_setup
+        trajs = sample_trajectories(mdp, b1, 2, 20, seed=18, label=label)
+        with pytest.raises(ValueError, match="labels must index"):
+            stepwise_wis_estimate(trajs, target, [b1, b2])
 
 
 def run_state_method(method, target, behaviors, data):
