@@ -225,6 +225,25 @@ class TestRunExperiment:
         with pytest.raises(InvalidConfig):
             run_experiment(cfg, master_seed=-1)
 
+    @pytest.mark.parametrize("environment", ["singlepath", "gridworld"])
+    def test_equal_problems_give_equal_records(self, environment):
+        # with one behavior, the methods of a group pose the same quadratic
+        # program on the same data, so their records agree bit for bit
+        groups = (("bch", "bch-pooled", "bch-kl-pooled"),
+                  ("emp", "emp-single", "kl-emp", "mis"))
+        cfg = ExperimentConfig(environment=environment, target=PolicySpec(episodes=200),
+                               behavior_epsilons=[0.3], num_trajectories=[1, 3, 12],
+                               horizons=[30], methods=list(STATE_METHODS), seeds=3,
+                               solver=SolverParams(iters=3000))
+        cells = {}
+        for r in run_experiment(cfg, master_seed=0, measure_time=False):
+            cell = cells.setdefault((r.num_trajectories, r.seed), {})
+            cell[r.method] = (r.estimate.hex(), r.tv_distance.hex())
+        assert len(cells) == 9
+        for cell in cells.values():
+            for group in groups:
+                assert len({cell[m] for m in group}) == 1, (group, cell)
+
 
 @functools.lru_cache(maxsize=None)
 def behavior_setup(environment, epsilons=(0.2, 0.4, 0.6)):
