@@ -284,8 +284,6 @@ def assemble_state_action_quadratic(data: TransitionDataset, target: TabularPoli
 
 
 def _lambda_max(matrix, dim: int) -> float:
-    # a fixed random start: the all-ones vector lies in the null space of
-    # A on on-policy data
     v = np.random.default_rng(0).standard_normal(dim)
     v /= np.linalg.norm(v)
     for _ in range(200):
@@ -307,8 +305,8 @@ def solve_normalized_quadratic(A: QuadraticForm, reference, iters: int = 20000,
     feasible point; the plain gradient's radial component would be undone by
     the rescale and leave spurious fixed points wherever A x is parallel
     to x.  The step starts at 0.5 / lambda_max(A), with lambda_max
-    estimated by 200 power iterations from one fixed pseudo-random start,
-    so the result depends only on A, the reference and ``iters``; iterates
+    estimated by 200 power iterations from one fixed pseudo-random start
+    (A maps the ones vector to zero on on-policy data); iterates
     that would increase the objective are rejected and the step halved,
     accepted steps let it grow again (up to 50x the initial step, which
     speeds up badly conditioned problems without weakening the safeguard),
@@ -398,8 +396,7 @@ def learn_sadl(data: TransitionDataset, target: TabularPolicy,
     The learned u(s, a) absorbs the behavior policy, so no behavior policy
     (exact or estimated) appears anywhere.  Normalized so the weighted data
     average of u(s_i, a_i) pi(a_i|s_i) equals 1, which makes the matching
-    reward estimator self-normalizing.  The test functions weight actions
-    uniformly (nu = 1/|A| in :func:`assemble_state_action_quadratic`).
+    reward estimator self-normalizing.  Test functions weight actions uniformly.
     """
     num_states, num_actions = target.probs.shape
     kernel = kernel or KernelSpec.state_action_delta()

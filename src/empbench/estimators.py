@@ -97,11 +97,11 @@ def mis_reward_estimate(data: TransitionDataset, per_policy_omegas,
     per-state ratio array (oracle use).
     """
     labels = data.require_labels()
-    if np.any(labels < 0) or np.any(
-            labels >= min(len(per_policy_omegas), len(per_policy_behaviors))):
+    if np.any(labels < 0) or np.any(labels >= len(per_policy_behaviors)):
         raise ValueError("labels must index the denominator policies")
     total = 0.0
-    for j, (omega, behavior) in enumerate(zip(per_policy_omegas, per_policy_behaviors)):
+    for j, (omega, behavior) in enumerate(zip(per_policy_omegas, per_policy_behaviors,
+                                              strict=True)):
         sub = data.subset(labels == j)
         if len(sub) == 0:
             continue
@@ -115,11 +115,11 @@ def mis_reward_estimate(data: TransitionDataset, per_policy_omegas,
 def stepwise_wis_estimate(trajectories, target: TabularPolicy, behaviors) -> float:
     """Step-wise weighted (self-normalized) importance sampling.
 
-    Each step carries the cumulative product of the
-    :func:`importance_ratios` of its trajectory's steps so far, with the
-    trajectory's label picking its entry of ``behaviors``; the estimate is
-    the weight-normalized average of all step rewards.  Products are
-    accumulated in log space so long horizons cannot overflow.
+    Each step carries the cumulative product of :func:`importance_ratios`
+    (each trajectory's label picks its behavior) from the start of its
+    trajectory; the estimate is the weight-normalized average of all step
+    rewards.  Products are accumulated in log space so long horizons cannot
+    overflow.
     """
     if len(trajectories) == 0:
         raise ValueError("trajectories must be nonempty")

@@ -395,6 +395,7 @@ Q_LEARNING_RANGES = {
     "alpha": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "gamma": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
 }
+STEPS_PER_EPISODE = 100  # the length of one Q-learning episode
 
 
 def check_q_learning_params(prefix: str = "", **params) -> None:
@@ -406,10 +407,6 @@ def check_q_learning_params(prefix: str = "", **params) -> None:
             raise ValueError(f"{prefix}{name} must be {description}")
 
 
-# the length of one Q-learning episode
-STEPS_PER_EPISODE = 100
-
-
 def train_q_learning_policy(mdp: TabularMDP, episodes: int, epsilon: float,
                             alpha: float, gamma: float, seed: int) -> TabularPolicy:
     """Tabular Q-learning followed by epsilon-softening of the greedy policy.
@@ -419,8 +416,7 @@ def train_q_learning_policy(mdp: TabularMDP, episodes: int, epsilon: float,
     pi(a|s) = (1 - eps) * 1{a = argmax Q(s, .)} + eps / |A|,
     argmax ties broken by lowest action index.  The environments here are
     continuing, so an episode is a fixed-length segment of
-    ``STEPS_PER_EPISODE`` (100) steps starting from the initial
-    distribution.
+    ``STEPS_PER_EPISODE`` = 100 steps from the initial distribution.
     """
     check_q_learning_params(episodes=episodes, epsilon=epsilon, alpha=alpha, gamma=gamma)
     q = _q_learning_table(mdp, episodes, epsilon, alpha, gamma, seed, STEPS_PER_EPISODE)
