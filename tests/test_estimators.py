@@ -221,6 +221,14 @@ class TestMisRewardEstimate:
             mis_reward_estimate(data, [unit_correction(data, 5)], [behavior], target,
                                 HeuristicTable(np.ones((1, 5))))
 
+    def test_unequal_correction_and_behavior_lists_raise(self, singlepath_setup):
+        mdp, b1, b2, target = singlepath_setup
+        data = TransitionDataset.from_trajectories(
+            sample_trajectories(mdp, b1, 3, 20, seed=20))
+        h = HeuristicTable(np.vstack([np.ones(5), np.zeros(5)]))
+        with pytest.raises(ValueError):
+            mis_reward_estimate(data, [unit_correction(data, 5)], [b1, b2], target, h)
+
     def test_balanced_heuristic_equals_pooled_ratio_form(self, singlepath_setup):
         # with oracle ratios, the per-policy estimates combined through the
         # balanced heuristic reduce algebraically to the pooled form

@@ -108,7 +108,7 @@ class TestParseConfig:
         assert parse_config(f"{key} = {value}\n") == expected(ExperimentConfig())
 
     def test_solver_seed_is_not_a_key(self):
-        # solver seeds derive from the master seed and the cell, per method
+        # the solver takes no seed: its power iteration starts from a fixed vector
         with pytest.raises(InvalidConfig, match="line 1: unknown key 'solver.seed'"):
             parse_config("solver.seed = 1\n")
 
