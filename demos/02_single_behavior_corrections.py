@@ -42,7 +42,7 @@ for seed in range(SEEDS):
     pi_hat = estimate_policy_mle(data, mdp.num_states, mdp.num_actions)
     est_estimated = ratio_reward_estimate(data, omega_estimated, target, pi_hat)
 
-    est_wis = stepwise_wis_estimate(trajs, target, [behavior])
+    est_wis = stepwise_wis_estimate(data, target, [behavior])
     rows.append((tv_distance(omega_aware.implied_distribution(), d_target),
                  tv_distance(omega_estimated.implied_distribution(), d_target),
                  est_aware, est_estimated, est_wis))

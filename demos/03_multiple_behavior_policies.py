@@ -30,10 +30,9 @@ print(f"behaviors: {len(behaviors)} softenings of the trained greedy policy\n")
 
 estimates = {m: [] for m in METHODS}
 for seed in range(SEEDS):
-    trajectories, data = generate_cell_data(mdp, behaviors, num_traj=200,
-                                            horizon=200, data_seed=seed)
+    data = generate_cell_data(mdp, behaviors, num_traj=200, horizon=200, data_seed=seed)
     for method in METHODS:
-        est, _ = run_method(method, target, behaviors, trajectories, data,
+        est, _ = run_method(method, target, behaviors, data,
                             KernelSpec.state_delta(), SolverParams(iters=200000))
         estimates[method].append(est)
 

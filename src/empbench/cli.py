@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``run <config>``       full sweep, writes records.csv and summary.csv
-* ``tv <config>``        same sweep, writes records.csv and tv_summary.csv
+* ``run <config>``       full sweep, writes records.csv, summary.csv (mean
+                         squared errors) and tv_summary.csv (mean
+                         total-variation distances)
 * ``oracle <env>``       print the exact average reward and stationary
                          distribution of the default target policy
 * ``env-check <env>``    validate the environment's invariants
@@ -19,43 +20,27 @@ from pathlib import Path
 import numpy as np
 
 from .envs import ENVIRONMENTS, build_environment
-from .harness import (ExperimentConfig, InvalidConfig, _cell_context, emit_csv,
-                      load_config, run_experiment, summarize_mse, summarize_tv)
+from .harness import (ExperimentConfig, InvalidConfig, TvSummaryRow, _cell_context,
+                      check_run_args, emit_csv, load_config, run_experiment,
+                      summarize_mse, summarize_tv)
 
 
-def _out_dir(cfg, args) -> Path:
+def _cmd_run(args) -> int:
+    """Run the config's sweep and write its records and both summaries; the
+    output directory is created before the sweep starts."""
+    cfg = load_config(args.config)
     out = Path(args.out if args.out is not None else cfg.output)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InvalidConfig(f"cannot create output directory {str(out)!r}: "
                             f"{exc.strerror or exc}") from None
-    return out
-
-
-def _sweep(args, summarize, summary_name: str):
-    """Run the config's sweep and write records.csv plus its summary;
-    returns the records, the summary rows and the output directory, which
-    is created before the sweep starts."""
-    cfg = load_config(args.config)
-    out = _out_dir(cfg, args)
     records = run_experiment(cfg, master_seed=args.seed, workers=args.workers,
                              measure_time=args.timings)
     emit_csv(records, out / "records.csv")
-    rows = summarize(records)
-    emit_csv(rows, out / summary_name)
-    return records, rows, out
-
-
-def _cmd_run(args) -> int:
-    records, _, out = _sweep(args, summarize_mse, "summary.csv")
+    emit_csv(summarize_mse(records), out / "summary.csv")
+    emit_csv(summarize_tv(records), out / "tv_summary.csv", TvSummaryRow)
     print(f"wrote {len(records)} records to {out / 'records.csv'}")
-    return 0
-
-
-def _cmd_tv(args) -> int:
-    _, rows, out = _sweep(args, summarize_tv, "tv_summary.csv")
-    print(f"wrote {len(rows)} summary rows to {out / 'tv_summary.csv'}")
     return 0
 
 
@@ -86,23 +71,15 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="off-policy evaluation benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--workers", type=int, default=1, help="parallel cell workers")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--timings", action="store_true",
-                       help="record real wall times (off by default so repeated "
-                            "runs emit byte-identical CSV)")
-
     p_run = sub.add_parser("run", help="run the full sweep from a config file")
     p_run.add_argument("config")
-    common(p_run)
+    p_run.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p_run.add_argument("--workers", type=int, default=1, help="parallel cell workers")
+    p_run.add_argument("--out", default=None, help="output directory (overrides config)")
+    p_run.add_argument("--timings", action="store_true",
+                       help="record real wall times (off by default so repeated "
+                            "runs emit byte-identical CSV)")
     p_run.set_defaults(func=_cmd_run)
-
-    p_tv = sub.add_parser("tv", help="run the sweep and summarize TV distances")
-    p_tv.add_argument("config")
-    common(p_tv)
-    p_tv.set_defaults(func=_cmd_tv)
 
     p_oracle = sub.add_parser("oracle", help="print exact target-policy values")
     p_oracle.add_argument("environment", choices=sorted(ENVIRONMENTS))
@@ -120,6 +97,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "seed" in args:  # before anything touches the file system
+            check_run_args(args.seed, getattr(args, "workers", 1))
         return args.func(args)
     except InvalidConfig as exc:
         print(f"invalid config: {exc}", file=sys.stderr)

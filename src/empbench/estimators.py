@@ -112,24 +112,28 @@ def mis_reward_estimate(data: TransitionDataset, per_policy_omegas,
     return total
 
 
-def stepwise_wis_estimate(trajectories, target: TabularPolicy, behaviors) -> float:
+def stepwise_wis_estimate(data: TransitionDataset, target: TabularPolicy, behaviors) -> float:
     """Step-wise weighted (self-normalized) importance sampling.
 
-    Each step carries the cumulative product of :func:`importance_ratios`
-    (each trajectory's label picks its behavior) from the start of its
-    trajectory; the estimate is the weight-normalized average of all step
-    rewards.  Products are accumulated in log space so long horizons cannot
-    overflow.
+    Each record's weight is its ``data.weights`` entry times the product of
+    :func:`importance_ratios` (each label picks its behavior) from the first
+    record of its trajectory up to it; the estimate is the weighted average
+    reward.  Each trajectory's records must be contiguous and in step order,
+    as :meth:`TransitionDataset.from_trajectories` lays them out.  Products
+    are accumulated in log space so long horizons cannot overflow.
     """
-    if len(trajectories) == 0:
-        raise ValueError("trajectories must be nonempty")
-    data = TransitionDataset.from_trajectories(trajectories)
+    if len(data) == 0:
+        raise ValueError("dataset must be nonempty")
+    if data.trajectory_ids is None:
+        raise ValueError("step-wise WIS requires per-record trajectory ids")
+    starts = np.flatnonzero(np.diff(data.trajectory_ids)) + 1
+    if len(starts) + 1 != len(np.unique(data.trajectory_ids)):
+        raise ValueError("each trajectory's records must be contiguous")
     with np.errstate(divide="ignore"):  # a zero ratio zeroes the rest of its trajectory
         log_rho = np.log(importance_ratios(data, target, behaviors))
-    ends = np.cumsum([len(t) for t in trajectories])[:-1]
-    log_weights = np.concatenate([np.cumsum(part) for part in np.split(log_rho, ends)])
+    log_weights = np.concatenate([np.cumsum(part) for part in np.split(log_rho, starts)])
     shift = log_weights.max()
     if not np.isfinite(shift):
         return float("nan")
-    w = np.exp(log_weights - shift)
+    w = data.weights * np.exp(log_weights - shift)
     return float((w * data.r).sum() / w.sum())

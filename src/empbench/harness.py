@@ -98,9 +98,15 @@ class ExperimentConfig:
             raise InvalidConfig("num_trajectories, horizons and methods must be nonempty")
         if any(n < 1 for n in self.num_trajectories) or any(h < 1 for h in self.horizons):
             raise InvalidConfig("sweep values must be >= 1")
+        for key in ("methods", "num_trajectories", "horizons"):
+            if len(set(getattr(self, key))) != len(getattr(self, key)):
+                raise InvalidConfig(f"{key} lists an entry twice")
         for m in self.methods:
             if m not in METHOD_NAMES:
                 raise InvalidConfig(f"unknown method {m!r}; expected one of {METHOD_NAMES}")
+            if m in STATE_METHODS and self.kernel.kind == "state-action-delta":
+                raise InvalidConfig(f"method {m!r} learns a state correction, which "
+                                    "kernel kind 'state-action-delta' cannot give")
         try:
             check_q_learning_params("target.", **vars(self.target))
         except ValueError as exc:
@@ -226,8 +232,8 @@ def make_policies(mdp, cfg: ExperimentConfig, master_seed: int):
 
 
 def generate_cell_data(mdp, behaviors, num_traj: int, horizon: int, data_seed: int):
-    """Trajectories split as evenly as possible across the behaviors (the
-    first ones take the remainder), plus the flattened labeled dataset."""
+    """The labeled dataset of ``num_traj`` trajectories split as evenly as
+    possible across the behaviors (the first ones take the remainder)."""
     m = len(behaviors)
     shares = [num_traj // m + (1 if j < num_traj % m else 0) for j in range(m)]
     trajectories = []
@@ -236,7 +242,7 @@ def generate_cell_data(mdp, behaviors, num_traj: int, horizon: int, data_seed: i
             continue
         trajectories.extend(sample_trajectories(
             mdp, policy, share, horizon, seed=_derive_seed(data_seed, j), label=j))
-    return trajectories, TransitionDataset.from_trajectories(trajectories)
+    return TransitionDataset.from_trajectories(trajectories)
 
 
 def _fit(spec: StateMethod, data: TransitionDataset, target, behaviors, kernel, solver):
@@ -298,8 +304,8 @@ def _run_state_method(spec: StateMethod, target, behaviors, data: TransitionData
     return mis_reward_estimate(data, omegas, denoms, target, heur), dist
 
 
-def run_method(method: str, target, behaviors, trajectories,
-               data: TransitionDataset, kernel: KernelSpec, solver: SolverParams):
+def run_method(method: str, target, behaviors, data: TransitionDataset,
+               kernel: KernelSpec, solver: SolverParams):
     """Dispatch one method (a ``STATE_METHODS`` row, ``sadl`` or ``wis``);
     returns (estimate, implied state distribution, or None unless the
     method learned a single state correction in this cell)."""
@@ -315,7 +321,7 @@ def run_method(method: str, target, behaviors, trajectories,
         u = learn_sadl(data, target, sa_kernel, solver)
         return sadl_reward_estimate(data, u, target), None
     if method == "wis":
-        return stepwise_wis_estimate(trajectories, target, behaviors), None
+        return stepwise_wis_estimate(data, target, behaviors), None
     raise UnknownMethod(f"unknown method {method!r}")
 
 
@@ -343,17 +349,24 @@ def _run_cell(args):
     cfg, master_seed, measure_time, num_traj, horizon, seed = args
     mdp, target, behaviors, truth, d_target = _cell_context(cfg, master_seed)
     data_seed = _derive_seed(master_seed, _TAG_DATA, num_traj, horizon, seed)
-    trajectories, data = generate_cell_data(mdp, behaviors, num_traj, horizon, data_seed)
+    data = generate_cell_data(mdp, behaviors, num_traj, horizon, data_seed)
     records = []
     for method in cfg.methods:
         start = time.perf_counter()
-        estimate, dist = run_method(method, target, behaviors, trajectories, data,
-                                    cfg.kernel, cfg.solver)
+        estimate, dist = run_method(method, target, behaviors, data, cfg.kernel, cfg.solver)
         elapsed = int(round((time.perf_counter() - start) * 1000)) if measure_time else 0
         tv = tv_distance(dist, d_target) if dist is not None else None
         records.append(ResultRecord(cfg.environment, method, num_traj, horizon, seed,
                                     estimate, truth, (estimate - truth) ** 2, tv, elapsed))
     return records
+
+
+def check_run_args(master_seed: int, workers: int = 1) -> None:
+    """Reject a negative master seed or fewer than one worker."""
+    if master_seed < 0:
+        raise InvalidConfig("master seed must be nonnegative")
+    if workers < 1:
+        raise InvalidConfig("workers must be >= 1")
 
 
 def run_experiment(cfg: ExperimentConfig, master_seed: int = 0, workers: int = 1,
@@ -367,10 +380,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int = 0, workers: int = 1
     separate processes; results are identical to the serial run.
     """
     cfg.validate()
-    if master_seed < 0:
-        raise InvalidConfig("master seed must be nonnegative")
-    if workers < 1:
-        raise InvalidConfig("workers must be >= 1")
+    check_run_args(master_seed, workers)
     tasks = [(cfg, master_seed, measure_time, nt, h, k)
              for nt in cfg.num_trajectories for h in cfg.horizons
              for k in range(cfg.seeds)]
@@ -403,8 +413,6 @@ def _group_stats(records, value):
 def summarize_mse(records) -> list[SummaryRow]:
     """Group records by (environment, method, num_trajectories, horizon) and
     report mean squared error, its standard error, and log10."""
-    if not records:
-        raise ValueError("records must be nonempty")
     return [SummaryRow(*key, n, mean, stderr,
                        float(np.log10(mean)) if mean > 0 else float("-inf"))
             for key, n, mean, stderr in _group_stats(records, lambda r: r.squared_error)]
@@ -436,15 +444,17 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def emit_csv(rows, path) -> None:
-    """Write dataclass rows as UTF-8 CSV: header first, fields in declaration
-    order, reals at 17 significant digits, records sorted by
+def emit_csv(rows, path, row_type=None) -> None:
+    """Write dataclass rows of ``row_type`` (default: the first row's type,
+    or ResultRecord for no rows) as UTF-8 CSV: header first, fields in
+    declaration order, reals at 17 significant digits, records sorted by
     (environment, method, num_trajectories, horizon, seed)."""
     rows = list(rows)
-    if rows and isinstance(rows[0], ResultRecord):
+    if row_type is None:
+        row_type = type(rows[0]) if rows else ResultRecord
+    if row_type is ResultRecord:
         rows.sort(key=lambda r: (r.environment, r.method, r.num_trajectories,
                                  r.horizon, r.seed))
-    row_type = type(rows[0]) if rows else ResultRecord
     names = [f.name for f in fields(row_type)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

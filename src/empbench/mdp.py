@@ -7,7 +7,7 @@ an explicit integer seed so experiments are bit-reproducible.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import accumulate
 
@@ -186,9 +186,11 @@ class TransitionDataset:
     """Flat collection of logged transitions.
 
     Columns: state s, action a, next state sp, reward r, an optional
-    behavior-policy label per record, and a nonnegative sample weight
-    (default 1).  Weighted records let population-level expectations be
-    represented exactly, see :func:`population_dataset`.
+    behavior-policy label per record, a nonnegative sample weight
+    (default 1), and an optional index of the trajectory each record came
+    from (filled by :meth:`from_trajectories`).  Weighted records let
+    population-level expectations be represented exactly, see
+    :func:`population_dataset`.
     """
 
     s: np.ndarray
@@ -197,6 +199,7 @@ class TransitionDataset:
     r: np.ndarray
     labels: np.ndarray | None = None
     weights: np.ndarray = field(default=None)  # type: ignore[assignment]
+    trajectory_ids: np.ndarray | None = None
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=np.int64)
@@ -206,10 +209,11 @@ class TransitionDataset:
         n = len(self.s)
         if not (len(self.a) == len(self.sp) == len(self.r) == n):
             raise ValueError("dataset columns must have equal length")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if len(self.labels) != n:
-                raise ValueError("labels must have one entry per record")
+        for name in ("labels", "trajectory_ids"):  # optional integer columns
+            if getattr(self, name) is not None:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+                if len(getattr(self, name)) != n:
+                    raise ValueError(f"{name} must have one entry per record")
         if self.weights is None:
             self.weights = np.ones(n, dtype=np.float64)
         else:
@@ -234,12 +238,11 @@ class TransitionDataset:
         return self.labels
 
     def subset(self, mask: np.ndarray) -> "TransitionDataset":
-        labels = self.labels[mask] if self.labels is not None else None
-        return TransitionDataset(self.s[mask], self.a[mask], self.sp[mask],
-                                 self.r[mask], labels, self.weights[mask])
+        columns = (getattr(self, f.name) for f in fields(self))
+        return TransitionDataset(*(None if c is None else c[mask] for c in columns))
 
     def with_weights(self, weights: np.ndarray) -> "TransitionDataset":
-        return TransitionDataset(self.s, self.a, self.sp, self.r, self.labels, weights)
+        return replace(self, weights=weights)
 
     @classmethod
     def from_trajectories(cls, trajectories) -> "TransitionDataset":
@@ -247,9 +250,10 @@ class TransitionDataset:
         a = np.concatenate([t.actions for t in trajectories])
         sp = np.concatenate([t.next_states for t in trajectories])
         r = np.concatenate([t.rewards for t in trajectories])
-        labels = np.concatenate([np.full(len(t), t.policy_label, dtype=np.int64)
-                                 for t in trajectories])
-        return cls(s, a, sp, r, labels)
+        lengths = [len(t) for t in trajectories]
+        labels = np.repeat([t.policy_label for t in trajectories], lengths)
+        ids = np.repeat(np.arange(len(lengths)), lengths)
+        return cls(s, a, sp, r, labels, trajectory_ids=ids)
 
 
 def chain_matrix(mdp: TabularMDP, policy: TabularPolicy) -> sparse.csr_matrix:

@@ -33,14 +33,14 @@ def two_state_symmetric(rewards=(0.0, 1.0)):
 
 
 def solve_stationary_exactly(chain: np.ndarray) -> np.ndarray:
-    """Independent oracle: solve the balance equations d P = d, sum d = 1
-    as a linear system (no power iteration)."""
+    """Independent oracle: solve the balance equations d P = d with one of
+    them replaced by sum d = 1, by dense LU (no power iteration)."""
     n = chain.shape[0]
-    a = np.vstack([chain.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
+    a = chain.T - np.eye(n)
+    a[-1, :] = 1.0
+    b = np.zeros(n)
     b[-1] = 1.0
-    d, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return d
+    return np.linalg.solve(a, b)
 
 
 def stationary_start(mdp: TabularMDP, policy: TabularPolicy) -> TabularMDP:

@@ -77,7 +77,8 @@ def taxi_wis_horizon_mse():
         for seed in range(200):
             trajs = sample_trajectories(mdp, behavior, 200, horizon,
                                         seed=_derive_seed(0, 2, 200, horizon, seed))
-            est = stepwise_wis_estimate(trajs, target, [behavior])
+            est = stepwise_wis_estimate(TransitionDataset.from_trajectories(trajs),
+                                        target, [behavior])
             errors.append((est - truth) ** 2)
         mses[horizon] = float(np.mean(errors))
     return mses

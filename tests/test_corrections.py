@@ -206,7 +206,7 @@ def taxi_cell():
     cfg = ExperimentConfig(environment="taxi", target=PolicySpec(episodes=2000),
                            behavior_epsilons=[0.2])
     target, behaviors = make_policies(mdp, cfg, 0)
-    _, data = generate_cell_data(mdp, behaviors, 200, 200, data_seed=5)
+    data = generate_cell_data(mdp, behaviors, 200, 200, data_seed=5)
     return mdp, target, behaviors, data
 
 

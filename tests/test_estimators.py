@@ -265,14 +265,24 @@ class TestStepwiseWis:
     def test_on_policy_is_plain_mean(self, singlepath_setup):
         mdp, behavior, _, _ = singlepath_setup
         trajs = sample_trajectories(mdp, behavior, 8, 30, seed=13)
-        est = stepwise_wis_estimate(trajs, behavior, [behavior])
+        data = TransitionDataset.from_trajectories(trajs)
+        est = stepwise_wis_estimate(data, behavior, [behavior])
         rewards = np.concatenate([t.rewards for t in trajs])
         assert est == pytest.approx(rewards.mean(), rel=1e-12)
+
+    def test_on_policy_is_the_weighted_mean_reward(self, singlepath_setup):
+        mdp, behavior, _, _ = singlepath_setup
+        trajs = sample_trajectories(mdp, behavior, 8, 30, seed=13)
+        data = TransitionDataset.from_trajectories(trajs)
+        weights = np.random.default_rng(0).uniform(0.1, 2.0, len(data))
+        est = stepwise_wis_estimate(data.with_weights(weights), behavior, [behavior])
+        assert est == pytest.approx(np.average(data.r, weights=weights), rel=1e-12)
 
     def test_single_trajectory_is_weighted_mean(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
         (traj,) = sample_trajectories(mdp, behavior, 1, 20, seed=14)
-        est = stepwise_wis_estimate([traj], target, [behavior])
+        data = TransitionDataset.from_trajectories([traj])
+        est = stepwise_wis_estimate(data, target, [behavior])
         rho = target.probs[traj.states, traj.actions] / behavior.probs[traj.states, traj.actions]
         w = np.cumprod(rho)
         assert est == pytest.approx(float((w * traj.rewards).sum() / w.sum()), rel=1e-10)
@@ -281,14 +291,16 @@ class TestStepwiseWis:
         mdp, b1, b2, target = singlepath_setup
         trajs = sample_trajectories(mdp, b1, 5, 60, seed=15, label=0)
         trajs += sample_trajectories(mdp, b2, 5, 60, seed=16, label=1)
-        est = stepwise_wis_estimate(trajs, target, [b1, b2])
+        est = stepwise_wis_estimate(TransitionDataset.from_trajectories(trajs), target,
+                                    [b1, b2])
         rewards = np.concatenate([t.rewards for t in trajs])
         assert rewards.min() <= est <= rewards.max()
 
     def test_long_horizon_does_not_overflow(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
         trajs = sample_trajectories(mdp, behavior, 3, 5000, seed=17)
-        est = stepwise_wis_estimate(trajs, target, [behavior])
+        est = stepwise_wis_estimate(TransitionDataset.from_trajectories(trajs), target,
+                                    [behavior])
         assert np.isfinite(est)
 
     @pytest.mark.parametrize("label", [-1, 2])
@@ -296,12 +308,30 @@ class TestStepwiseWis:
         # label -1 used to pick the last behavior silently
         mdp, b1, b2, target = singlepath_setup
         trajs = sample_trajectories(mdp, b1, 2, 20, seed=18, label=label)
+        data = TransitionDataset.from_trajectories(trajs)
         with pytest.raises(ValueError, match="labels must index"):
-            stepwise_wis_estimate(trajs, target, [b1, b2])
+            stepwise_wis_estimate(data, target, [b1, b2])
+
+    def test_missing_trajectory_ids_raise(self, singlepath_setup):
+        mdp, behavior, _, target = singlepath_setup
+        trajs = sample_trajectories(mdp, behavior, 2, 20, seed=19)
+        data = TransitionDataset.from_trajectories(trajs)
+        unindexed = TransitionDataset(data.s, data.a, data.sp, data.r, data.labels)
+        with pytest.raises(ValueError, match="trajectory ids"):
+            stepwise_wis_estimate(unindexed, target, [behavior])
+
+    def test_split_trajectory_raises(self, singlepath_setup):
+        # trajectory 0's records on both sides of trajectory 1's
+        mdp, behavior, _, target = singlepath_setup
+        trajs = sample_trajectories(mdp, behavior, 2, 20, seed=19)
+        data = TransitionDataset.from_trajectories(trajs)
+        order = np.r_[0:10, 20:40, 10:20]
+        with pytest.raises(ValueError, match="contiguous"):
+            stepwise_wis_estimate(data.subset(order), target, [behavior])
 
 
 def run_state_method(method, target, behaviors, data):
-    estimate, _ = run_method(method, target, behaviors, [], data,
+    estimate, _ = run_method(method, target, behaviors, data,
                              KernelSpec.state_delta(), SolverParams())
     return estimate
 

@@ -20,7 +20,8 @@ from empbench import (METHOD_NAMES, STATE_METHODS, ExperimentConfig, InvalidConf
                       run_experiment, run_method, summarize_mse, summarize_tv, tv_distance)
 from empbench import cli, harness, learn_bch
 from empbench.cli import main
-from empbench.harness import _CONFIG_KEYS, _cell_context, generate_cell_data, make_policies
+from empbench.harness import (_CONFIG_KEYS, TvSummaryRow, _cell_context, generate_cell_data,
+                              make_policies)
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -76,8 +77,10 @@ KEY_CASES = {
     "target.epsilon": ("0.35", lambda c: replace(c, target=PolicySpec(epsilon=0.35))),
     "target.alpha": ("0.45", lambda c: replace(c, target=PolicySpec(alpha=0.45))),
     "target.gamma": ("0.5", lambda c: replace(c, target=PolicySpec(gamma=0.5))),
-    "kernel.kind": ("state-action-delta",
-                    lambda c: replace(c, kernel=KernelSpec.state_action_delta())),
+    # the state-action kernel serves only the state-action method
+    "kernel.kind": ("state-action-delta\nmethods = sadl",
+                    lambda c: replace(c, kernel=KernelSpec.state_action_delta(),
+                                      methods=["sadl"])),
     # a bandwidth needs the gaussian kernel; the delta kernels reject one
     "kernel.bandwidth": ("1.5\nkernel.kind = gaussian-on-embedding",
                          lambda c: replace(c, kernel=KernelSpec.gaussian(1.5))),
@@ -259,14 +262,14 @@ class TestRunMethod:
         _, target, behaviors = behavior_setup("singlepath")
         empty = TransitionDataset(s=[], a=[], sp=[], r=[], labels=[])
         with pytest.raises(ValueError):
-            run_method(method, target, behaviors, [], empty,
+            run_method(method, target, behaviors, empty,
                        KernelSpec.state_delta(), SolverParams())
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_one_behavior_reports_tv_for_every_state_method(self, method):
         mdp, target, behaviors = behavior_setup("singlepath", (0.3,))
-        trajectories, data = generate_cell_data(mdp, behaviors, 4, 30, 0)
-        _, dist = run_method(method, target, behaviors, trajectories, data,
+        data = generate_cell_data(mdp, behaviors, 4, 30, 0)
+        _, dist = run_method(method, target, behaviors, data,
                              KernelSpec.state_delta(), SolverParams(iters=2000))
         assert (dist is not None) == (method in STATE_METHODS)
 
@@ -276,28 +279,26 @@ class TestRunMethod:
         mdp, target, behaviors = behavior_setup("singlepath")
         reported = []
         for num_traj in (1, 3):
-            trajectories, data = generate_cell_data(mdp, behaviors, num_traj, 30, 0)
-            _, dist = run_method(method, target, behaviors, trajectories, data,
+            data = generate_cell_data(mdp, behaviors, num_traj, 30, 0)
+            _, dist = run_method(method, target, behaviors, data,
                                  KernelSpec.state_delta(), SolverParams(iters=2000))
             reported.append(dist is not None)
         assert reported == [True, STATE_METHODS[method].grouping == "pooled"]
 
     @settings(max_examples=25, deadline=None)
-    @given(method=st.sampled_from([m for m in METHOD_NAMES if m != "wis"]),
+    @given(method=st.sampled_from(METHOD_NAMES),
            environment=st.sampled_from(["singlepath", "gridworld"]),
            num_traj=st.sampled_from([2, 9]), data_seed=st.integers(0, 2**32 - 1))
     def test_doubling_every_weight_changes_nothing(self, method, environment, num_traj,
                                                    data_seed):
-        # doubling is exact in floating point and every non-wis method is
-        # invariant to a common weight scale, so the results agree bitwise
+        # doubling is exact in floating point and every method is invariant
+        # to a common weight scale, so the results agree bitwise
         mdp, target, behaviors = behavior_setup(environment)
-        trajectories, data = generate_cell_data(mdp, behaviors, num_traj, 40, data_seed)
+        data = generate_cell_data(mdp, behaviors, num_traj, 40, data_seed)
         kernel, solver = KernelSpec.state_delta(), SolverParams(iters=2000)
-        est, dist = run_method(method, target, behaviors, trajectories, data,
-                               kernel, solver)
+        est, dist = run_method(method, target, behaviors, data, kernel, solver)
         doubled = data.with_weights(2.0 * data.weights)
-        est2, dist2 = run_method(method, target, behaviors, trajectories, doubled,
-                                 kernel, solver)
+        est2, dist2 = run_method(method, target, behaviors, doubled, kernel, solver)
         assert est2 == est
         assert (dist is None) == (dist2 is None)
         if dist is not None:
@@ -420,12 +421,19 @@ class TestCli:
         b = (tmp_path / "b" / "records.csv").read_bytes()
         assert a == b
 
-    def test_tv_subcommand(self, tmp_path):
-        rc = main(["tv", str(self.write_config(tmp_path)), "--out", str(tmp_path / "tv")])
+    def test_run_writes_tv_summary(self, tmp_path):
+        rc = main(["run", str(self.write_config(tmp_path)), "--out", str(tmp_path / "tv")])
         assert rc == 0
         text = (tmp_path / "tv" / "tv_summary.csv").read_text(encoding="utf-8")
-        assert text.startswith("environment,method,")
+        assert text.startswith("environment,method,num_trajectories,horizon,num_seeds,tv_mean,")
         assert "emp" in text
+        assert "wis" not in text  # wis learns no correction, so it has no TV
+
+    def test_tv_summary_without_tv_methods_has_its_header(self, tmp_path):
+        config = self.write_config(tmp_path, TINY_CONFIG.replace("emp,wis", "wis, sadl"))
+        assert main(["run", str(config)]) == 0
+        lines = (tmp_path / "out" / "tv_summary.csv").read_text(encoding="utf-8").splitlines()
+        assert lines == [",".join(f.name for f in fields(TvSummaryRow))]
 
     def test_oracle_subcommand(self, capsys):
         assert main(["oracle", "singlepath"]) == 0
@@ -478,13 +486,11 @@ class TestCli:
         assert main(["run", str(config)]) == 2
         assert "takes no bandwidth" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["run", "tv"])
-    def test_uncreatable_output_exits_2_before_the_sweep(self, tmp_path, capsys, no_sweep,
-                                                          command):
+    def test_uncreatable_output_exits_2_before_the_sweep(self, tmp_path, capsys, no_sweep):
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")
         config = str(self.write_config(tmp_path))
-        assert main([command, config, "--out", str(blocker / "sub")]) == 2
+        assert main(["run", config, "--out", str(blocker / "sub")]) == 2
         assert "cannot create output directory" in capsys.readouterr().err
 
     def test_file_not_found_during_the_run_exits_3(self, tmp_path, monkeypatch):
@@ -492,6 +498,40 @@ class TestCli:
             raise FileNotFoundError("some data file")
         monkeypatch.setattr(cli, "run_experiment", missing)
         assert main(["run", str(self.write_config(tmp_path))]) == 3
+
+    def test_state_action_kernel_with_state_method_exits_2(self, tmp_path, capsys,
+                                                             no_sweep):
+        text = (TINY_CONFIG.replace("emp,wis", "bch, sadl")
+                + "kernel.kind = state-action-delta\n")
+        assert main(["run", str(self.write_config(tmp_path, text))]) == 2
+        assert "method 'bch' learns a state correction" in capsys.readouterr().err
+        # without a state-correction method the kernel is valid
+        parse_config(text.replace("bch, sadl", "sadl"))
+
+    @pytest.mark.parametrize("line", ["methods = bch, bch", "num_trajectories = 4, 4",
+                                      "horizons = 20, 20"])
+    def test_duplicate_sweep_entry_exits_2(self, tmp_path, capsys, no_sweep, line):
+        config = self.write_config(tmp_path, TINY_CONFIG + line)
+        assert main(["run", str(config)]) == 2
+        assert f"{line.split()[0]} lists an entry twice" in capsys.readouterr().err
+
+    def test_duplicate_behavior_epsilons_allowed(self):
+        # two labels may log with the same policy
+        assert parse_config("behavior.epsilons = 0.2, 0.2\n").behavior_epsilons == [0.2, 0.2]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--seed", "-1"], "master seed must be nonnegative"),
+        (["run", "--workers", "0"], "workers must be >= 1"),
+        (["oracle", "singlepath", "--seed", "-1"], "master seed must be nonnegative"),
+    ], ids=["run-seed", "run-workers", "oracle-seed"])
+    def test_bad_seed_or_workers_exits_2_before_the_file_system(self, tmp_path, capsys,
+                                                               no_sweep, argv, message):
+        if argv[0] == "run":
+            argv = [argv[0], str(self.write_config(tmp_path)), *argv[1:],
+                    "--out", str(tmp_path / "flag")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not any(path.is_dir() for path in tmp_path.iterdir())
 
     def test_workers_below_one_exits_2(self, tmp_path, capsys):
         assert main(["run", str(self.write_config(tmp_path)), "--workers", "0"]) == 2
@@ -505,9 +545,9 @@ class TestCli:
         golden = DATA / f"{name}_records.csv"
         assert (out / "records.csv").read_bytes() == golden.read_bytes()
 
-    def test_tv_matches_golden_summary(self, tmp_path):
+    def test_run_tv_summary_matches_golden(self, tmp_path):
         out = tmp_path / "out"
-        assert main(["tv", str(DATA / "allmethods_3behaviors.cfg"), "--seed", "0",
+        assert main(["run", str(DATA / "allmethods_3behaviors.cfg"), "--seed", "0",
                      "--out", str(out)]) == 0
         golden = DATA / "allmethods_3behaviors_tv_summary.csv"
         assert (out / "tv_summary.csv").read_bytes() == golden.read_bytes()
@@ -557,7 +597,7 @@ solver.iters = 8000
         try:
             mdp, target, behaviors, _, _ = _cell_context(cfg, 0)
             context_peak = tracemalloc.get_traced_memory()[1]
-            _, data = generate_cell_data(mdp, behaviors, 200, 200, data_seed=11)
+            data = generate_cell_data(mdp, behaviors, 200, 200, data_seed=11)
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             learn_bch(data, target, behaviors, solver=cfg.solver)
