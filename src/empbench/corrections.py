@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sparse
 from dataclasses import dataclass
 
-from .mdp import StateDistribution, TabularPolicy, TransitionDataset
+from .mdp import StateDistribution, TabularPolicy, TransitionDataset, check_probabilities
 from .policies import empirical_state_distribution, estimate_policy_mle
 
 RATIO_FLOOR = 1e-12
@@ -56,8 +56,8 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "gaussian-on-embedding":
-            if self.bandwidth is None or self.bandwidth <= 0:
-                raise ValueError("gaussian kernel requires a positive bandwidth")
+            if self.bandwidth is None or not 0 < self.bandwidth < np.inf:
+                raise ValueError("gaussian kernel requires a positive finite bandwidth")
         elif self.bandwidth is not None:
             raise ValueError(f"kernel kind {self.kind!r} takes no bandwidth")
 
@@ -115,6 +115,8 @@ class QuadraticForm:
             nnz = np.count_nonzero(entries)
         if entries.shape != (self.dim, self.dim):
             raise ValueError(f"matrix must be ({self.dim}, {self.dim})")
+        if not np.isfinite(entries.data if sparse.issparse(entries) else entries).all():
+            raise ValueError("quadratic form entries must be finite")
         if self.dim >= 512 and nnz < 0.25 * self.dim**2:
             self.entries = sparse.csr_matrix(entries)
         else:
@@ -151,11 +153,9 @@ class CorrectionVector:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if np.any(self.values < 0):
-            raise ValueError("correction values must be nonnegative")
-        total = float(self.reference_dist.probs @ self.values)
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"normalization violated: E_ref[omega] = {total}")
+        check_probabilities(self.values, "correction values", atol=None)
+        check_probabilities(self.reference_dist.probs * self.values,
+                            "normalization E_ref[omega]", atol=1e-6)
 
     def implied_distribution(self) -> StateDistribution:
         """The state distribution omega * reference, renormalized."""
@@ -176,11 +176,8 @@ class StateActionCorrection:
         self.reference = np.asarray(self.reference, dtype=np.float64)
         if self.values.shape != self.reference.shape or self.values.ndim != 2:
             raise ValueError("values and reference must both be (S, A)")
-        if np.any(self.values < 0):
-            raise ValueError("correction values must be nonnegative")
-        total = float(np.sum(self.reference * self.values))
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"normalization violated: E_ref[u] = {total}")
+        check_probabilities(self.values, "correction values", atol=None)
+        check_probabilities(self.reference * self.values, "normalization E_ref[u]", atol=1e-6)
 
 
 def importance_ratios(data: TransitionDataset, target: TabularPolicy,
@@ -194,9 +191,7 @@ def importance_ratios(data: TransitionDataset, target: TabularPolicy,
     if isinstance(denom_policy, TabularPolicy):
         denom = denom_policy.probs[data.s, data.a]
     else:
-        labels = data.require_labels()
-        if np.any(labels < 0) or np.any(labels >= len(denom_policy)):
-            raise ValueError("labels must index the denominator policies")
+        labels = data.require_labels(len(denom_policy))
         denom = np.stack([p.probs for p in denom_policy])[labels, data.s, data.a]
     return target.probs[data.s, data.a] / np.maximum(denom, RATIO_FLOOR)
 
@@ -266,8 +261,9 @@ def assemble_state_action_quadratic(data: TransitionDataset, target: TabularPoli
     if kernel.kind == "state-delta":
         raise ValueError("state-action assembly needs a state-action kernel")
     nu = np.asarray(action_weighting, dtype=np.float64)
-    if nu.shape != (num_actions,) or np.any(nu < 0) or abs(nu.sum() - 1.0) > 1e-9:
-        raise ValueError("action_weighting must be a probability vector over actions")
+    if nu.shape != (num_actions,):
+        raise ValueError("action_weighting must be a vector over actions")
+    check_probabilities(nu, "action_weighting", atol=1e-9)
     dim = num_states * num_actions
     pair = data.s * num_actions + data.a
     pi_sa = target.probs[data.s, data.a]
@@ -316,8 +312,7 @@ def solve_normalized_quadratic(A: QuadraticForm, reference, iters: int = 20000,
     accepted objective values.
     """
     reference = np.asarray(reference, dtype=np.float64)
-    if np.any(reference < 0):
-        raise ValueError("reference must be nonnegative")
+    check_probabilities(reference, "reference", atol=None)
     if reference.sum() <= 0:
         raise DegenerateReference("reference has no mass anywhere")
     matrix, scale = A.entries, A.scale

@@ -11,7 +11,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .corrections import CorrectionVector, StateActionCorrection, importance_ratios
-from .mdp import TabularPolicy, TransitionDataset
+from .mdp import TabularPolicy, TransitionDataset, check_probabilities
 from .policies import WeightVector
 
 # Unused here: the traced benchmark run (benchmark/child.py --trace 1) wraps
@@ -31,10 +31,7 @@ class HeuristicTable:
         self.h = np.asarray(self.h, dtype=np.float64)
         if self.h.ndim != 2:
             raise ValueError("heuristic table must be (m, S)")
-        if np.any(self.h < 0):
-            raise ValueError("heuristic weights must be nonnegative")
-        if not np.allclose(self.h.sum(axis=0), 1.0, rtol=0.0, atol=1e-9):
-            raise ValueError("heuristic columns must sum to 1")
+        check_probabilities(self.h, "every heuristic column", axis=0, atol=1e-9)
 
 
 def _correction_values(omega) -> np.ndarray:
@@ -96,9 +93,7 @@ def mis_reward_estimate(data: TransitionDataset, per_policy_omegas,
     Each per-policy correction may be a learned correction or a plain
     per-state ratio array (oracle use).
     """
-    labels = data.require_labels()
-    if np.any(labels < 0) or np.any(labels >= len(per_policy_behaviors)):
-        raise ValueError("labels must index the denominator policies")
+    labels = data.require_labels(len(per_policy_behaviors))
     total = 0.0
     for j, (omega, behavior) in enumerate(zip(per_policy_omegas, per_policy_behaviors,
                                               strict=True)):
@@ -118,17 +113,21 @@ def stepwise_wis_estimate(data: TransitionDataset, target: TabularPolicy, behavi
     Each record's weight is its ``data.weights`` entry times the product of
     :func:`importance_ratios` (each label picks its behavior) from the first
     record of its trajectory up to it; the estimate is the weighted average
-    reward.  Each trajectory's records must be contiguous and in step order,
-    as :meth:`TransitionDataset.from_trajectories` lays them out.  Products
-    are accumulated in log space so long horizons cannot overflow.
+    reward.  Each trajectory's records must be contiguous, in step order and
+    chained (sp[i] == s[i+1]), as :meth:`TransitionDataset.from_trajectories`
+    lays them out.  Products are accumulated in log space so long horizons
+    cannot overflow.
     """
     if len(data) == 0:
         raise ValueError("dataset must be nonempty")
     if data.trajectory_ids is None:
         raise ValueError("step-wise WIS requires per-record trajectory ids")
-    starts = np.flatnonzero(np.diff(data.trajectory_ids)) + 1
+    new_trajectory = np.diff(data.trajectory_ids) != 0
+    starts = np.flatnonzero(new_trajectory) + 1
     if len(starts) + 1 != len(np.unique(data.trajectory_ids)):
         raise ValueError("each trajectory's records must be contiguous")
+    if np.any((data.sp[:-1] != data.s[1:]) & ~new_trajectory):
+        raise ValueError("each trajectory's records must chain: sp[i] == s[i+1]")
     with np.errstate(divide="ignore"):  # a zero ratio zeroes the rest of its trajectory
         log_rho = np.log(importance_ratios(data, target, behaviors))
     log_weights = np.concatenate([np.cumsum(part) for part in np.split(log_rho, starts)])

@@ -18,7 +18,7 @@ from .corrections import KernelSpec, SolverParams, learn_bch, learn_sadl
 from .envs import ENVIRONMENTS, build_environment
 from .estimators import (balanced_heuristic, mis_reward_estimate, ratio_reward_estimate,
                          sadl_reward_estimate, stepwise_wis_estimate)
-from .mdp import (MissingLabel, StateDistribution, TransitionDataset, average_reward,
+from .mdp import (StateDistribution, TransitionDataset, average_reward,
                   check_q_learning_params, greedy_policy, sample_trajectories,
                   soften_policy, stationary_distribution, train_q_learning_policy)
 from .policies import WeightVector, compute_kl_weights, empirical_state_distribution, \
@@ -174,8 +174,8 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except FileNotFoundError:
-        raise InvalidConfig(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfig(f"cannot read config file {path}: {exc}") from None
     return parse_config(text)
 
 
@@ -307,12 +307,12 @@ def _run_state_method(spec: StateMethod, target, behaviors, data: TransitionData
 def run_method(method: str, target, behaviors, data: TransitionDataset,
                kernel: KernelSpec, solver: SolverParams):
     """Dispatch one method (a ``STATE_METHODS`` row, ``sadl`` or ``wis``);
-    returns (estimate, implied state distribution, or None unless the
-    method learned a single state correction in this cell)."""
-    if data.labels is None:
-        if len(behaviors) > 1:
-            raise MissingLabel("multi-behavior data must carry per-record labels")
+    returns (estimate, implied state distribution, or None unless the method
+    learned a single state correction in this cell).  Labels must index
+    ``behaviors``; unlabeled data is allowed with one behavior."""
+    if data.labels is None and len(behaviors) == 1:
         data = replace(data, labels=np.zeros(len(data), dtype=np.int64))
+    data.require_labels(len(behaviors))
     if method in STATE_METHODS:
         return _run_state_method(STATE_METHODS[method], target, behaviors, data,
                                  kernel, solver)

@@ -29,6 +29,17 @@ class MissingLabel(ValueError):
     """An operation that needs behavior-policy labels got unlabeled records."""
 
 
+def check_probabilities(values, name: str, axis=None, atol: float | None = PROB_ATOL) -> None:
+    """Raise ValueError naming ``name`` unless every (stored) entry of ``values``
+    is finite and nonnegative and, unless ``atol`` is None, every sum along
+    ``axis`` is within ``atol`` of 1.  Each comparison is false for NaN."""
+    entries = values.data if sparse.issparse(values) else values
+    if entries.size and not 0 <= entries.min() <= entries.max() < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative")
+    if atol is not None and not (abs(values.sum(axis=axis) - 1.0) <= atol).all():
+        raise ValueError(f"{name} must sum to 1 (within {atol:g})")
+
+
 @dataclass
 class TabularMDP:
     """Finite MDP with transitions T[s, a, s'], rewards r[s, a] and an
@@ -66,13 +77,8 @@ class TabularMDP:
             raise ValueError(f"reward must be (S, A) = ({s}, {a}), got {self.reward.shape}")
         if self.initial_dist.shape != (s,):
             raise ValueError(f"initial_dist must have length {s}")
-        if np.any(rows.data < 0) or np.any(self.initial_dist < 0):
-            raise ValueError("probabilities must be nonnegative")
-        row_sums = np.asarray(rows.sum(axis=1)).ravel()
-        if not np.allclose(row_sums, 1.0, rtol=0.0, atol=PROB_ATOL):
-            raise ValueError("every transition row T[s, a, :] must sum to 1")
-        if abs(self.initial_dist.sum() - 1.0) > PROB_ATOL:
-            raise ValueError("initial_dist must sum to 1")
+        check_probabilities(rows, "every transition row T[s, a, :]", axis=1)
+        check_probabilities(self.initial_dist, "initial_dist")
 
     @property
     def num_states(self) -> int:
@@ -105,10 +111,7 @@ class TabularPolicy:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.ndim != 2:
             raise ValueError("policy table must be 2-D (S, A)")
-        if np.any(self.probs < 0):
-            raise ValueError("policy probabilities must be nonnegative")
-        if not np.allclose(self.probs.sum(axis=1), 1.0, rtol=0.0, atol=PROB_ATOL):
-            raise ValueError("every policy row must sum to 1")
+        check_probabilities(self.probs, "every policy row", axis=1)
 
     @property
     def num_states(self) -> int:
@@ -149,10 +152,7 @@ class StateDistribution:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.ndim != 1:
             raise ValueError("state distribution must be 1-D")
-        if np.any(self.probs < 0):
-            raise ValueError("state distribution entries must be nonnegative")
-        if abs(self.probs.sum() - 1.0) > 1e-9:
-            raise ValueError("state distribution must sum to 1")
+        check_probabilities(self.probs, "state distribution", atol=1e-9)
 
 
 @dataclass
@@ -209,6 +209,8 @@ class TransitionDataset:
         n = len(self.s)
         if not (len(self.a) == len(self.sp) == len(self.r) == n):
             raise ValueError("dataset columns must have equal length")
+        if n and min(self.s.min(), self.a.min(), self.sp.min()) < 0:
+            raise ValueError("state and action indices must be nonnegative")
         for name in ("labels", "trajectory_ids"):  # optional integer columns
             if getattr(self, name) is not None:
                 setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
@@ -220,21 +222,17 @@ class TransitionDataset:
             self.weights = np.asarray(self.weights, dtype=np.float64)
             if len(self.weights) != n:
                 raise ValueError("weights must have one entry per record")
-            if np.any(self.weights < 0):
-                raise ValueError("weights must be nonnegative")
+            check_probabilities(self.weights, "weights", atol=None)
 
     def __len__(self) -> int:
         return len(self.s)
 
-    @property
-    def counts_per_label(self) -> np.ndarray:
-        """Record counts N_j per behavior label (requires labels)."""
-        labels = self.require_labels()
-        return np.bincount(labels)
-
-    def require_labels(self) -> np.ndarray:
+    def require_labels(self, num_policies: int) -> np.ndarray:
+        """The labels, checked to index a list of ``num_policies`` policies."""
         if self.labels is None:
             raise MissingLabel("this operation requires per-record behavior labels")
+        if len(self.labels) and not (0 <= self.labels.min() and self.labels.max() < num_policies):
+            raise ValueError(f"labels must index the {num_policies} behavior policies")
         return self.labels
 
     def subset(self, mask: np.ndarray) -> "TransitionDataset":
@@ -548,6 +546,7 @@ def population_dataset(mdp: TabularMDP, behaviors, weights=None) -> TransitionDa
     if weights is None:
         weights = np.full(m, 1.0 / m)
     weights = np.asarray(weights, dtype=np.float64)
+    check_probabilities(weights, "behavior weights", atol=None)
     num_actions = mdp.num_actions
     rows = mdp.transition_rows
     # row s * A + a of each stored entry; the entries run in (s, a, s') order

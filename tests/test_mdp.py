@@ -3,12 +3,15 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, settings, strategies as st
 
-from empbench import (NonErgodicChain, TabularMDP, TabularPolicy, Trajectory,
-                      TransitionDataset, average_reward, build_gridworld,
+from empbench import (CorrectionVector, HeuristicTable, KernelSpec, NonErgodicChain,
+                      QuadraticForm, StateActionCorrection, StateDistribution, TabularMDP,
+                      TabularPolicy, Trajectory, TransitionDataset, WeightVector,
+                      assemble_state_action_quadratic, average_reward, build_gridworld,
                       build_singlepath, build_taxi, greedy_policy, population_dataset,
-                      sample_trajectories, soften_policy, stationary_distribution,
-                      train_q_learning_policy, uniform_policy)
+                      sample_trajectories, soften_policy, solve_normalized_quadratic,
+                      stationary_distribution, train_q_learning_policy, uniform_policy)
 from empbench import mdp as mdp_module
 from empbench.mdp import (_bounded_draw, _draw, _q_learning_table, chain_matrix,
                           support_cdf_table)
@@ -54,12 +57,69 @@ class TestValidation:
     def test_dataset_label_counts(self):
         data = TransitionDataset(s=[0, 1, 0], a=[0, 0, 1], sp=[1, 0, 0],
                                  r=[0.0, 0.0, 0.0], labels=[0, 1, 1])
-        assert data.counts_per_label.tolist() == [1, 2]
-        assert data.counts_per_label.sum() == len(data)
+        assert np.bincount(data.require_labels(2)).tolist() == [1, 2]
+        with pytest.raises(ValueError, match="labels must index the 1 behavior"):
+            data.require_labels(1)
+
+    @pytest.mark.parametrize("column", ["s", "a", "sp"])
+    def test_negative_state_or_action_index_raises(self, column):
+        columns = dict(s=[0, 1], a=[0, 1], sp=[1, 0], r=[0.0, 0.0])
+        columns[column] = [0, -1]  # would index from the end
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            TransitionDataset(**columns)
 
     def test_dataset_default_weights_are_one(self):
         data = TransitionDataset(s=[0], a=[0], sp=[1], r=[0.0])
         assert data.weights.tolist() == [1.0]
+
+
+TWO_STATE_DATA = TransitionDataset(s=[0, 1], a=[0, 1], sp=[1, 0], r=[0.0, 1.0])
+HALF = np.full((2, 2), 0.5)
+
+# each probability or weight check: a valid array, and the call that checks it
+CHECKED_VALUES = {
+    "transitions": (np.full((2, 2, 2), 0.5),
+                    lambda v: TabularMDP(v, np.zeros((2, 2)), [0.5, 0.5])),
+    "initial_dist": ([0.5, 0.5], lambda v: TabularMDP(np.full((2, 2, 2), 0.5),
+                                                      np.zeros((2, 2)), v)),
+    "policy": (HALF, TabularPolicy),
+    "state distribution": ([0.3, 0.7], StateDistribution),
+    "record weights": ([1.0, 2.0], lambda v: TransitionDataset(
+        s=[0, 1], a=[0, 1], sp=[1, 0], r=[0.0, 1.0], weights=v)),
+    "mixture weights": ([0.4, 0.6], WeightVector),
+    "heuristic table": ([[0.5, 1.0], [0.5, 0.0]], HeuristicTable),
+    "state correction": ([1.0, 1.0], lambda v: CorrectionVector(
+        v, StateDistribution([0.5, 0.5]))),
+    "state-action correction": (np.ones((2, 2)), lambda v: StateActionCorrection(
+        v, np.full((2, 2), 0.25))),
+    "state-action reference": (np.full((2, 2), 0.25), lambda v: StateActionCorrection(
+        np.ones((2, 2)), v)),
+    "action weighting": ([0.5, 0.5], lambda v: assemble_state_action_quadratic(
+        TWO_STATE_DATA, TabularPolicy(HALF), v, KernelSpec.state_action_delta(), 2, 2)),
+    "solver reference": ([0.5, 0.5], lambda v: solve_normalized_quadratic(
+        QuadraticForm(np.eye(2), 2), v, iters=1)),
+    "population weights": ([0.5, 0.5], lambda v: population_dataset(
+        build_singlepath(), [uniform_policy(5, 2)] * 2, v)),
+    "quadratic form": (np.eye(2), lambda v: QuadraticForm(v, 2)),
+    "kernel bandwidth": ([1.0], lambda v: KernelSpec.gaussian(v[0])),
+}
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("name", sorted(CHECKED_VALUES))
+    def test_valid_values_pass(self, name):
+        valid, check = CHECKED_VALUES[name]
+        check(np.array(valid, dtype=np.float64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(CHECKED_VALUES)), position=st.integers(0, 7),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_one_non_finite_entry_raises(self, name, position, bad):
+        valid, check = CHECKED_VALUES[name]
+        values = np.array(valid, dtype=np.float64)
+        values.flat[position % values.size] = bad
+        with pytest.raises(ValueError):
+            check(values)
 
 
 class TestSparseTransitions:
