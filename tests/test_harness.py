@@ -291,7 +291,7 @@ class TestRunMethod:
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_label_past_the_behaviors_raises(self, method):
         # a record labelled 3 with three behaviors has no behavior to divide
-        # by; grouping methods used to drop it from the estimate silently
+        # by, and the grouping methods would drop it from the estimate
         mdp, target, behaviors = behavior_setup("singlepath")
         data = generate_cell_data(mdp, behaviors, 3, 20, 0)
         data = replace(data, labels=data.labels + 1)
@@ -539,8 +539,8 @@ class TestCli:
 
     @pytest.mark.parametrize("bandwidth", ["nan", "inf"])
     def test_non_finite_bandwidth_exits_2(self, tmp_path, capsys, no_sweep, bandwidth):
-        # nan used to pass `bandwidth <= 0` and solve a NaN form to omega = 1;
-        # inf gave a constant kernel
+        # nan would give a NaN form, which the solver returns as omega = 1;
+        # inf would give a constant kernel
         text = (TINY_CONFIG.replace("emp,wis", "bch") + "kernel.kind = gaussian-on-embedding\n"
                 + f"kernel.bandwidth = {bandwidth}\n")
         assert main(["run", str(self.write_config(tmp_path, text))]) == 2
