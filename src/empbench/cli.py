@@ -74,11 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the full sweep from a config file")
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p_run.add_argument("--workers", type=int, default=1, help="parallel cell workers")
+    p_run.add_argument("--workers", type=int, default=1,
+                       help="processes that run cells in parallel (default 1); each "
+                            "cell solves its sparse corrections on max(1, CPUs // "
+                            "workers) threads")
     p_run.add_argument("--out", default=None, help="output directory (overrides config)")
     p_run.add_argument("--timings", action="store_true",
-                       help="record real wall times (off by default so repeated "
-                            "runs emit byte-identical CSV)")
+                       help="record real wall times: a method's own assembly and "
+                            "estimate plus its own solves' durations (off by default "
+                            "so repeated runs emit byte-identical CSV)")
     p_run.set_defaults(func=_cmd_run)
 
     p_oracle = sub.add_parser("oracle", help="print exact target-policy values")

@@ -20,9 +20,15 @@ per-record importance ratio:
 The first three are one learner, :func:`learn_bch`, given that denominator.
 """
 
+import math
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import scipy.sparse as sparse
-from dataclasses import dataclass
+from scipy.sparse import _sparsetools  # the kernel behind CSR @ vector
 
 from .mdp import StateDistribution, TabularPolicy, TransitionDataset, check_probabilities
 from .policies import empirical_state_distribution, estimate_policy_mle
@@ -279,16 +285,34 @@ def assemble_state_action_quadratic(data: TransitionDataset, target: TabularPoli
                              float(data.weights.sum()))
 
 
+def _matvec(matrix):
+    """The product v, out -> ``out`` = matrix @ v into a preallocated vector,
+    rounded as ``matrix @ v`` is: the same BLAS call for a dense array, and
+    for CSR the kernel scipy's ``@`` runs, which adds each row's products in
+    stored order into a zeroed vector."""
+    if not sparse.issparse(matrix):
+        return lambda v, out: np.matmul(matrix, v, out=out)
+    rows, cols = matrix.shape
+
+    def product(v, out):
+        out.fill(0.0)
+        _sparsetools.csr_matvec(rows, cols, matrix.indptr, matrix.indices, matrix.data, v, out)
+        return out
+    return product
+
+
 def _lambda_max(matrix, dim: int) -> float:
+    product = _matvec(matrix)
     v = np.random.default_rng(0).standard_normal(dim)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v @ v)
+    w = np.empty(dim)
     for _ in range(200):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
+        product(v, w)
+        norm = math.sqrt(w @ w)
         if norm <= 1e-300:
             return 0.0
-        v = w / norm
-    return float(v @ (matrix @ v))
+        np.divide(w, norm, out=v)
+    return float(v @ product(v, w))
 
 
 def solve_normalized_quadratic(A: QuadraticForm, reference, iters: int = 20000,
@@ -310,36 +334,51 @@ def solve_normalized_quadratic(A: QuadraticForm, reference, iters: int = 20000,
     after ``iters`` iterations or when the objective decrease over 100
     iterations falls below 1e-12.  Pass a list as ``trace`` to record
     accepted objective values.
+
+    The loop allocates no arrays: every vector lives in a buffer made
+    before it, and a rejected step keeps the gradient, since x, A x and f(x)
+    are unchanged.  Each buffered operation rounds as the expression it
+    replaces, so the iterates are those of the plain expressions.
     """
     reference = np.asarray(reference, dtype=np.float64)
     check_probabilities(reference, "reference", atol=None)
     if reference.sum() <= 0:
         raise DegenerateReference("reference has no mass anywhere")
-    matrix, scale = A.entries, A.scale
-    x = np.ones(A.dim)
+    matrix, scale, dim = A.entries, A.scale, A.dim
+    x = np.ones(dim)
     x /= reference @ x
-    lam = scale * _lambda_max(matrix, A.dim)
+    lam = scale * _lambda_max(matrix, dim)
     if lam <= 1e-300:
         return x
+    product = _matvec(matrix)
     step = 0.5 / lam
     step_cap = 50.0 * step
-    y = matrix @ x
+    y = product(x, np.empty(dim))
     f = scale * float(x @ y)
     if trace is not None:
         trace.append(f)
+    gradient, shift, cand, y_cand = (np.empty(dim) for _ in range(4))
+    moved = True  # x has changed since the gradient was taken
     f_checkpoint = f
     for it in range(1, iters + 1):
-        gradient = (2.0 * scale) * y - (2.0 * f) * reference
-        cand = np.maximum(x - step * gradient, 0.0)
+        if moved:  # gradient = 2 scale y - 2 f reference
+            np.multiply(y, 2.0 * scale, out=gradient)
+            np.subtract(gradient, np.multiply(reference, 2.0 * f, out=shift), out=gradient)
+        np.multiply(gradient, step, out=cand)  # cand = max(x - step gradient, 0)
+        np.subtract(x, cand, out=cand)
+        np.maximum(cand, 0.0, out=cand)
         total = reference @ cand
         if total <= 0:
             raise DegenerateReference(
                 "all mass of the reference fell on clipped coordinates")
         cand /= total
-        y_cand = matrix @ cand
+        product(cand, y_cand)
         f_cand = scale * float(cand @ y_cand)
-        if f_cand <= f:
-            x, y, f = cand, y_cand, f_cand
+        moved = f_cand <= f
+        if moved:
+            x, cand = cand, x
+            y, y_cand = y_cand, y
+            f = f_cand
             step = min(1.1 * step, step_cap)
             if trace is not None:
                 trace.append(f)
@@ -352,6 +391,57 @@ def solve_normalized_quadratic(A: QuadraticForm, reference, iters: int = 20000,
     return x
 
 
+@dataclass(frozen=True)
+class CorrectionProblem:
+    """One quadratic program a learner poses: minimize ``form`` over x >= 0
+    with ``reference`` . x = 1.  ``correction`` turns the solution into the
+    learned correction."""
+
+    form: QuadraticForm
+    reference: np.ndarray
+    correction: Callable[[np.ndarray], object]
+
+
+def solve_problems(problems, iters: int, threads: int = 1) -> list:
+    """(solution, seconds) for each problem, in order, each solved by a call
+    to :func:`solve_normalized_quadratic` through this module's global name.
+
+    Forms stored as CSR are solved on a pool of ``threads`` threads (capped
+    at their number), made here and shut down before returning: their
+    matvec releases the GIL.  Dense forms are solved in the calling thread,
+    since their solves spend most of their time holding it.  The solves are
+    independent, so the solutions do not depend on ``threads``, and an
+    error is raised for the first failing problem in order.
+    """
+    def timed(problem):
+        start = time.perf_counter()
+        x = solve_normalized_quadratic(problem.form, problem.reference, iters=iters)
+        return x, time.perf_counter() - start
+
+    csr = [i for i, p in enumerate(problems) if sparse.issparse(p.form.entries)]
+    threads = min(threads, len(csr))
+    if threads <= 1:
+        return [timed(p) for p in problems]
+    pool = ThreadPoolExecutor(threads, thread_name_prefix="empbench-solve")
+    try:
+        futures = {i: pool.submit(timed, problems[i]) for i in csr}
+        return [futures[i].result() if i in futures else timed(p)
+                for i, p in enumerate(problems)]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def assemble_bch(data: TransitionDataset, target: TabularPolicy, denom_policy,
+                 kernel: KernelSpec | None = None) -> CorrectionProblem:
+    """The problem :func:`learn_bch` solves: the state form of
+    :func:`assemble_state_quadratic`, normalized against the data's
+    empirical state distribution."""
+    kernel = kernel or KernelSpec.state_delta()
+    qf = assemble_state_quadratic(data, target, denom_policy, kernel, target.num_states)
+    reference = empirical_state_distribution(data, target.num_states)
+    return CorrectionProblem(qf, reference.probs, lambda x: CorrectionVector(x, reference))
+
+
 def learn_bch(data: TransitionDataset, target: TabularPolicy, denom_policy,
               kernel: KernelSpec | None = None,
               solver: SolverParams | None = None) -> CorrectionVector:
@@ -359,12 +449,10 @@ def learn_bch(data: TransitionDataset, target: TabularPolicy, denom_policy,
     denominator: the exact behavior policy (policy aware), a list of exact
     per-label behaviors for pooled labeled data, or an estimate of the
     behavior (see :func:`learn_emp`)."""
-    kernel = kernel or KernelSpec.state_delta()
     solver = solver or SolverParams()
-    qf = assemble_state_quadratic(data, target, denom_policy, kernel, target.num_states)
-    reference = empirical_state_distribution(data, target.num_states)
-    x = solve_normalized_quadratic(qf, reference.probs, iters=solver.iters)
-    return CorrectionVector(x, reference)
+    problem = assemble_bch(data, target, denom_policy, kernel)
+    [(x, _)] = solve_problems([problem], solver.iters)
+    return problem.correction(x)
 
 
 def learn_emp(data: TransitionDataset, target: TabularPolicy,
@@ -383,6 +471,27 @@ def learn_emp(data: TransitionDataset, target: TabularPolicy,
     return learn_bch(data, target, pi_hat, kernel, solver)
 
 
+def assemble_sadl(data: TransitionDataset, target: TabularPolicy,
+                  kernel: KernelSpec | None = None) -> CorrectionProblem:
+    """The problem :func:`learn_sadl` solves, over (s, a) pairs indexed
+    s * A + a: the state-action form with uniform action weights, normalized
+    against the data's (s, a) frequencies times pi(a|s), rescaled to sum
+    to 1."""
+    num_states, num_actions = target.probs.shape
+    kernel = kernel or KernelSpec.state_action_delta()
+    qf = assemble_state_action_quadratic(data, target, np.full(num_actions, 1.0 / num_actions),
+                                         kernel, num_states, num_actions)
+    freq = np.zeros((num_states, num_actions))
+    np.add.at(freq, (data.s, data.a), data.weights)
+    freq /= freq.sum()
+    reference = freq * target.probs
+    scale = reference.sum()
+    return CorrectionProblem(
+        qf, reference.ravel() / scale,
+        lambda x: StateActionCorrection((x / scale).reshape(num_states, num_actions),
+                                        reference))
+
+
 def learn_sadl(data: TransitionDataset, target: TabularPolicy,
                kernel: KernelSpec | None = None,
                solver: SolverParams | None = None) -> StateActionCorrection:
@@ -393,15 +502,7 @@ def learn_sadl(data: TransitionDataset, target: TabularPolicy,
     average of u(s_i, a_i) pi(a_i|s_i) equals 1, which makes the matching
     reward estimator self-normalizing.  Test functions weight actions uniformly.
     """
-    num_states, num_actions = target.probs.shape
-    kernel = kernel or KernelSpec.state_action_delta()
     solver = solver or SolverParams()
-    qf = assemble_state_action_quadratic(data, target, np.full(num_actions, 1.0 / num_actions),
-                                         kernel, num_states, num_actions)
-    freq = np.zeros((num_states, num_actions))
-    np.add.at(freq, (data.s, data.a), data.weights)
-    freq /= freq.sum()
-    reference = freq * target.probs
-    scale = reference.sum()
-    x = solve_normalized_quadratic(qf, reference.ravel() / scale, iters=solver.iters)
-    return StateActionCorrection((x / scale).reshape(num_states, num_actions), reference)
+    problem = assemble_sadl(data, target, kernel)
+    [(x, _)] = solve_problems([problem], solver.iters)
+    return problem.correction(x)

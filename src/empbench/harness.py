@@ -8,13 +8,17 @@ comparisons across methods are meaningful.
 """
 
 import csv
+import functools
+import itertools
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .corrections import KernelSpec, SolverParams, learn_bch, learn_sadl
+from .corrections import (KernelSpec, SolverParams, assemble_bch, assemble_sadl,
+                          solve_problems)
 from .envs import ENVIRONMENTS, build_environment
 from .estimators import (balanced_heuristic, mis_reward_estimate, ratio_reward_estimate,
                          sadl_reward_estimate, stepwise_wis_estimate)
@@ -26,7 +30,7 @@ from .policies import WeightVector, compute_kl_weights, empirical_state_distribu
 
 # Unused here: the traced benchmark run (benchmark/child.py --trace 1) wraps
 # these names by lookup.  The method table replaced the last three.
-from .corrections import learn_emp  # noqa: E402,F401
+from .corrections import learn_bch, learn_emp, learn_sadl  # noqa: E402,F401
 learn_bch_pooled = emp_single_estimate = kl_emp_estimate = None
 
 
@@ -245,16 +249,6 @@ def generate_cell_data(mdp, behaviors, num_traj: int, horizon: int, data_seed: i
     return TransitionDataset.from_trajectories(trajectories)
 
 
-def _fit(spec: StateMethod, data: TransitionDataset, target, behaviors, kernel, solver):
-    """Learn one state correction on ``data`` with the row's denominator;
-    returns the correction and the denominator its estimate must use."""
-    if spec.denominator == "exact":
-        denom = behaviors
-    else:
-        denom = estimate_policy_mle(data, *target.probs.shape)
-    return learn_bch(data, target, denom, kernel, solver), denom
-
-
 def _kl_reweighted(spec: StateMethod, data: TransitionDataset, target, behaviors):
     """``data`` with the sample proportions N_j/N of the labels that have
     records replaced by KL-proximity weights over those labels' policies
@@ -274,34 +268,71 @@ def _kl_reweighted(spec: StateMethod, data: TransitionDataset, target, behaviors
     return data.with_weights(data.weights * factor[labels])
 
 
-def _run_state_method(spec: StateMethod, target, behaviors, data: TransitionDataset,
-                      kernel, solver):
-    """One ``STATE_METHODS`` row on labeled data; see :func:`run_method`."""
+def _assemble_state_method(spec: StateMethod, target, behaviors, data: TransitionDataset,
+                           kernel):
+    """Assemble phase of one ``STATE_METHODS`` row on labeled data; see
+    :func:`_assemble_method`."""
     if len(data) == 0:
         raise ValueError("dataset must be nonempty")
     if spec.kl:
         data = _kl_reweighted(spec, data, target, behaviors)
-    if spec.grouping == "pooled":
-        omega, denom = _fit(spec, data, target, behaviors, kernel, solver)
-        estimate = ratio_reward_estimate(data, omega, target, denom)
-        return estimate, omega.implied_distribution()
-    groups = [data.subset(data.labels == j) for j in range(len(behaviors))]
-    fits = [_fit(spec, sub, target, behaviors, kernel, solver) if len(sub)
-            else (None, None) for sub in groups]
-    learned = [omega for omega, _ in fits if omega is not None]
-    dist = learned[0].implied_distribution() if len(learned) == 1 else None
-    if spec.grouping == "mean":
-        estimates = [ratio_reward_estimate(sub, omega, target, denom)
-                     for sub, (omega, denom) in zip(groups, fits) if len(sub)]
-        return float(np.mean(estimates)), dist
-    num_states = target.num_states
-    counts = np.array([len(sub) for sub in groups], dtype=np.float64)
-    uniform = StateDistribution(np.full(num_states, 1.0 / num_states))
-    dists = [empirical_state_distribution(sub, num_states) if len(sub) else uniform
-             for sub in groups]
-    heur = balanced_heuristic(WeightVector(counts / counts.sum()), dists)
-    omegas, denoms = zip(*fits)
-    return mis_reward_estimate(data, omegas, denoms, target, heur), dist
+    num_groups = 1 if spec.grouping == "pooled" else len(behaviors)
+
+    def group(j):
+        # label j's records, or all of them as the one group; the estimate
+        # takes them again, so a cell holds no copy between the phases
+        return data if num_groups == 1 else data.subset(data.labels == j)
+
+    groups = [group(j) for j in range(num_groups)]
+    # (group, denominator its estimate must use, problem) per group with records
+    fits = []
+    for j, sub in enumerate(groups):
+        if len(sub):
+            denom = (behaviors if spec.denominator == "exact"
+                     else estimate_policy_mle(sub, *target.probs.shape))
+            fits.append((j, denom, assemble_bch(sub, target, denom, kernel)))
+    if spec.grouping == "mis":
+        num_states = target.num_states
+        counts = np.array([len(sub) for sub in groups], dtype=np.float64)
+        uniform = StateDistribution(np.full(num_states, 1.0 / num_states))
+        dists = [empirical_state_distribution(sub, num_states) if len(sub) else uniform
+                 for sub in groups]
+        heur = balanced_heuristic(WeightVector(counts / counts.sum()), dists)
+
+    def estimate(solutions):
+        omegas = {j: problem.correction(x) for (j, _, problem), x in zip(fits, solutions)}
+        denoms = {j: denom for j, denom, _ in fits}
+        learned = list(omegas.values())
+        dist = learned[0].implied_distribution() if len(learned) == 1 else None
+        if spec.grouping == "mis":
+            labels = range(num_groups)
+            return mis_reward_estimate(data, [omegas.get(j) for j in labels],
+                                       [denoms.get(j) for j in labels], target, heur), dist
+        # pooled is the mean over its one group
+        return float(np.mean([ratio_reward_estimate(group(j), omegas[j], target, denoms[j])
+                              for j in omegas])), dist
+
+    return [problem for *_, problem in fits], estimate
+
+
+def _assemble_method(method: str, target, behaviors, data: TransitionDataset,
+                     kernel: KernelSpec):
+    """Assemble phase of one method: (the correction problems it learns, a
+    function taking their solutions, in order, to what :func:`run_method`
+    returns)."""
+    if data.labels is None and len(behaviors) == 1:
+        data = replace(data, labels=np.zeros(len(data), dtype=np.int64))
+    data.require_labels(len(behaviors))
+    if method in STATE_METHODS:
+        return _assemble_state_method(STATE_METHODS[method], target, behaviors, data, kernel)
+    if method == "sadl":
+        sa_kernel = kernel if kernel.kind != "state-delta" else KernelSpec.state_action_delta()
+        problem = assemble_sadl(data, target, sa_kernel)
+        return [problem], lambda solutions: (
+            sadl_reward_estimate(data, problem.correction(solutions[0]), target), None)
+    if method == "wis":
+        return [], lambda _: (stepwise_wis_estimate(data, target, behaviors), None)
+    raise UnknownMethod(f"unknown method {method!r}")
 
 
 def run_method(method: str, target, behaviors, data: TransitionDataset,
@@ -309,20 +340,23 @@ def run_method(method: str, target, behaviors, data: TransitionDataset,
     """Dispatch one method (a ``STATE_METHODS`` row, ``sadl`` or ``wis``);
     returns (estimate, implied state distribution, or None unless the method
     learned a single state correction in this cell).  Labels must index
-    ``behaviors``; unlabeled data is allowed with one behavior."""
-    if data.labels is None and len(behaviors) == 1:
-        data = replace(data, labels=np.zeros(len(data), dtype=np.int64))
-    data.require_labels(len(behaviors))
-    if method in STATE_METHODS:
-        return _run_state_method(STATE_METHODS[method], target, behaviors, data,
-                                 kernel, solver)
-    if method == "sadl":
-        sa_kernel = kernel if kernel.kind != "state-delta" else KernelSpec.state_action_delta()
-        u = learn_sadl(data, target, sa_kernel, solver)
-        return sadl_reward_estimate(data, u, target), None
-    if method == "wis":
-        return stepwise_wis_estimate(data, target, behaviors), None
-    raise UnknownMethod(f"unknown method {method!r}")
+    ``behaviors``; unlabeled data is allowed with one behavior.  Runs the
+    method's assemble, solve and estimate phases, its solves one at a time."""
+    problems, estimate = _assemble_method(method, target, behaviors, data, kernel)
+    return estimate([x for x, _ in solve_problems(problems, solver.iters)])
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _solve_threads(workers: int) -> int:
+    """Threads for one cell's sparse solves: the usable CPUs shared among
+    ``workers`` cell processes, at least one."""
+    return max(1, _usable_cpus() // workers)
 
 
 # per-process cache so worker processes build the environment and train the
@@ -345,19 +379,32 @@ def _cell_context(cfg: ExperimentConfig, master_seed: int):
     return ctx
 
 
-def _run_cell(args):
+def _run_cell(args, workers: int = 1):
+    """The records of one cell: every method's assembly, then all of the
+    cell's solves together (see :func:`solve_problems`), then every
+    method's estimate.  A method's wall time is its own assembly and
+    estimate plus the durations of its own solves."""
     cfg, master_seed, measure_time, num_traj, horizon, seed = args
     mdp, target, behaviors, truth, d_target = _cell_context(cfg, master_seed)
     data_seed = _derive_seed(master_seed, _TAG_DATA, num_traj, horizon, seed)
     data = generate_cell_data(mdp, behaviors, num_traj, horizon, data_seed)
-    records = []
+    plans = []
     for method in cfg.methods:
         start = time.perf_counter()
-        estimate, dist = run_method(method, target, behaviors, data, cfg.kernel, cfg.solver)
-        elapsed = int(round((time.perf_counter() - start) * 1000)) if measure_time else 0
+        problems, estimate = _assemble_method(method, target, behaviors, data, cfg.kernel)
+        plans.append((method, problems, estimate, time.perf_counter() - start))
+    solved = iter(solve_problems([p for _, problems, _, _ in plans for p in problems],
+                                 cfg.solver.iters, _solve_threads(workers)))
+    records = []
+    for method, problems, estimate, elapsed in plans:
+        start = time.perf_counter()
+        mine = list(itertools.islice(solved, len(problems)))
+        value, dist = estimate([x for x, _ in mine])
+        elapsed += time.perf_counter() - start + sum(seconds for _, seconds in mine)
+        wall_ms = int(round(elapsed * 1000)) if measure_time else 0
         tv = tv_distance(dist, d_target) if dist is not None else None
         records.append(ResultRecord(cfg.environment, method, num_traj, horizon, seed,
-                                    estimate, truth, (estimate - truth) ** 2, tv, elapsed))
+                                    value, truth, (value - truth) ** 2, tv, wall_ms))
     return records
 
 
@@ -377,7 +424,12 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int = 0, workers: int = 1
     Data seeds derive from the sweep values, so permuting the sweep lists
     permutes rows without changing any per-cell value, and all methods in a
     cell see the same dataset.  With ``workers`` > 1 the cells run in
-    separate processes; results are identical to the serial run.
+    separate processes.  Inside a cell, the solves of forms stored as CSR
+    run on max(1, usable CPUs // ``workers``) threads, made per cell; dense
+    forms are solved serially.  Results are identical to the serial run.
+    With ``measure_time``, a record's ``wall_time_ms`` covers its method's
+    assembly and estimate plus the durations of its own solves, which may
+    have overlapped other methods' solves.
     """
     cfg.validate()
     check_run_args(master_seed, workers)
@@ -386,7 +438,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int = 0, workers: int = 1
              for k in range(cfg.seeds)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_cell, tasks))
+            chunks = list(pool.map(functools.partial(_run_cell, workers=workers), tasks))
     else:
         chunks = [_run_cell(task) for task in tasks]
     records = [rec for chunk in chunks for rec in chunk]

@@ -546,6 +546,9 @@ def population_dataset(mdp: TabularMDP, behaviors, weights=None) -> TransitionDa
     if weights is None:
         weights = np.full(m, 1.0 / m)
     weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (m,):
+        raise ValueError(f"weights has shape {weights.shape}; {m} behaviors need "
+                         f"shape ({m},), one weight each")
     check_probabilities(weights, "behavior weights", atol=None)
     num_actions = mdp.num_actions
     rows = mdp.transition_rows

@@ -251,3 +251,56 @@ def reference_delta_quadratic(left):
     product densified, then symmetrized in dense."""
     mat = (left @ left.T).toarray()
     return 0.5 * (mat + mat.T)
+
+
+def reference_lambda_max(matrix, dim):
+    """Frozen copy of the original power iteration behind the solver's
+    first step."""
+    v = np.random.default_rng(0).standard_normal(dim)
+    v /= np.linalg.norm(v)
+    for _ in range(200):
+        w = matrix @ v
+        norm = np.linalg.norm(w)
+        if norm <= 1e-300:
+            return 0.0
+        v = w / norm
+    return float(v @ (matrix @ v))
+
+
+def reference_pgd_solve(form, reference, iters=20000, trace=None):
+    """Frozen copy of the original projected-gradient loop, which allocated
+    every vector and retook the gradient after a rejected step.  Oracle for
+    the buffered loop of solve_normalized_quadratic, which must reproduce it
+    bit for bit, accepted objectives included."""
+    reference = np.asarray(reference, dtype=np.float64)
+    matrix, scale = form.entries, form.scale
+    x = np.ones(form.dim)
+    x /= reference @ x
+    lam = scale * reference_lambda_max(matrix, form.dim)
+    if lam <= 1e-300:
+        return x
+    step = 0.5 / lam
+    step_cap = 50.0 * step
+    y = matrix @ x
+    f = scale * float(x @ y)
+    if trace is not None:
+        trace.append(f)
+    f_checkpoint = f
+    for it in range(1, iters + 1):
+        gradient = (2.0 * scale) * y - (2.0 * f) * reference
+        cand = np.maximum(x - step * gradient, 0.0)
+        cand /= reference @ cand
+        y_cand = matrix @ cand
+        f_cand = scale * float(cand @ y_cand)
+        if f_cand <= f:
+            x, y, f = cand, y_cand, f_cand
+            step = min(1.1 * step, step_cap)
+            if trace is not None:
+                trace.append(f)
+        else:
+            step *= 0.5
+        if it % 100 == 0:
+            if f_checkpoint - f < 1e-12:
+                break
+            f_checkpoint = f
+    return x

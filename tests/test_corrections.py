@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from empbench.policies import empirical_state_distribution, estimate_policy_mle
 
 from helpers import (naive_state_action_objective, naive_state_quadratic,
                      one_hot_gaussian_gram, random_mdp, random_policy, random_soft_policy,
-                     reference_delta_quadratic, stationary_start)
+                     reference_delta_quadratic, reference_pgd_solve, stationary_start)
 
 
 def random_dataset(rng, num_states, num_actions, n, unit_weights=True):
@@ -397,6 +399,94 @@ class TestSolver:
         qf = QuadraticForm(np.array([[1.0, -2.0], [-2.0, 5.0]]), 2)
         with pytest.raises(DegenerateReference):
             solve_normalized_quadratic(qf, np.array([0.0, 1.0]))
+
+
+def random_forms(rng):
+    """Dense forms of 2 to 40 variables and CSR forms of 600 and 2000, each
+    with a random reference and scale."""
+    forms = []
+    for dim in (2, 5, 16, 40):
+        b = rng.normal(size=(dim, dim))
+        forms.append(QuadraticForm(b.T @ b, dim, scale=rng.random()))
+    for dim in (600, 2000):
+        m = sparse.random(dim, dim, density=3 / dim, random_state=dim)
+        forms.append(QuadraticForm((m @ m.T).tocsr(), dim, scale=rng.random() / dim))
+    return [(form, rng.dirichlet(np.ones(form.dim))) for form in forms]
+
+
+class TestBufferedSolver:
+    """The allocation-free loop reproduces the original allocating loop
+    (tests/helpers.py) bit for bit: the solution and every accepted
+    objective."""
+
+    def test_random_forms_match_the_frozen_loop(self):
+        for form, reference in random_forms(np.random.default_rng(17)):
+            for iters in (1, 150, 3000):
+                trace, frozen_trace = [], []
+                x = solve_normalized_quadratic(form, reference, iters=iters, trace=trace)
+                frozen = reference_pgd_solve(form, reference, iters=iters,
+                                             trace=frozen_trace)
+                assert np.array_equal(x, frozen), (form.dim, iters)
+                assert trace == frozen_trace, (form.dim, iters)
+                assert isinstance(form.entries, np.ndarray) == (form.dim < 512)
+
+    def test_taxi_and_learner_forms_match_the_frozen_loop(self, taxi_cell, singlepath_policies):
+        mdp, target, behaviors, data = taxi_cell
+        cases = [(assemble_state_quadratic(data, target, behaviors, KernelSpec.state_delta(),
+                                           2000), empirical_state_distribution(data, 2000).probs)]
+        sp_mdp, b1, b2, sp_target = singlepath_policies
+        sp_data = population_dataset(sp_mdp, [b1, b2])
+        cases.append((assemble_state_quadratic(sp_data, sp_target, [b1, b2],
+                                               KernelSpec.state_delta(), 5),
+                      empirical_state_distribution(sp_data, 5).probs))
+        for form, reference in cases:
+            trace, frozen_trace = [], []
+            x = solve_normalized_quadratic(form, reference, iters=2000, trace=trace)
+            frozen = reference_pgd_solve(form, reference, iters=2000, trace=frozen_trace)
+            assert np.array_equal(x, frozen) and trace == frozen_trace
+
+
+class TestSolveProblems:
+    """Forms stored as CSR are solved on a pool capped at their number,
+    dense ones in the calling thread; the solutions do not depend on the
+    thread count."""
+
+    def test_threads_do_not_change_the_solutions(self, monkeypatch):
+        forms = random_forms(np.random.default_rng(18))
+        problems = [corrections.CorrectionProblem(form, reference, lambda x: x)
+                    for form, reference in forms]
+        expected = [reference_pgd_solve(form, reference, iters=300)
+                    for form, reference in forms]
+        pools, names = [], []
+        solve = corrections.solve_normalized_quadratic
+
+        def spy(form, reference, iters):  # the solver takes iters by keyword
+            names.append((form.dim, threading.current_thread().name))
+            return solve(form, reference, iters=iters)
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(corrections, "solve_normalized_quadratic", spy)
+        monkeypatch.setattr(corrections, "ThreadPoolExecutor", Pool)
+        for threads, made in ((1, []), (2, [2]), (8, [2])):
+            pools.clear()
+            names.clear()
+            solved = corrections.solve_problems(problems, 300, threads)
+            assert pools == made
+            assert all(np.array_equal(x, e) and seconds >= 0
+                       for (x, seconds), e in zip(solved, expected))
+            on_main = sorted(dim for dim, name in names if name == "MainThread")
+            assert on_main == ([2, 5, 16, 40, 600, 2000] if threads == 1 else [2, 5, 16, 40])
+
+    def test_no_pool_without_csr_forms(self, monkeypatch):
+        monkeypatch.setattr(corrections, "ThreadPoolExecutor", None)
+        problem = corrections.CorrectionProblem(QuadraticForm(np.eye(3), 3),
+                                                np.full(3, 1 / 3), lambda x: x)
+        [(x, _)] = corrections.solve_problems([problem], 10, threads=4)
+        np.testing.assert_array_equal(x, np.ones(3))
 
 
 @pytest.fixture(scope="module")

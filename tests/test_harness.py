@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -13,13 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from empbench import (METHOD_NAMES, STATE_METHODS, ExperimentConfig, InvalidConfig,
-                      KernelSpec, PolicySpec, ResultRecord, SolverParams, StateDistribution,
-                      TransitionDataset, average_reward, build_environment,
+from empbench import (METHOD_NAMES, STATE_METHODS, DegenerateReference, ExperimentConfig,
+                      InvalidConfig, KernelSpec, PolicySpec, ResultRecord, SolverParams,
+                      StateDistribution, TransitionDataset, average_reward, build_environment,
                       build_singlepath, emit_csv, parse_config, read_records_csv,
                       run_experiment, run_method, sample_trajectories, summarize_mse,
                       summarize_tv, tv_distance)
-from empbench import cli, harness, learn_bch
+from empbench import cli, corrections, harness, learn_bch
 from empbench.cli import main
 from empbench.harness import (_CONFIG_KEYS, TvSummaryRow, _cell_context, generate_cell_data,
                               make_policies)
@@ -650,6 +651,83 @@ solver.iters = 3000
         assert main(["run", str(REPO / "demos" / "singlepath.cfg"), "--seed", "0",
                      "--workers", str(workers), "--out", str(out)]) == 0
         assert (out / "records.csv").read_bytes() == GOLDEN_SINGLEPATH.read_bytes()
+
+
+def small_taxi_config(methods):
+    """One taxi cell of eight 40-step trajectories with a 200-iteration
+    budget: its 2000-variable forms are stored as CSR, and it runs fast."""
+    return ExperimentConfig(environment="taxi", target=PolicySpec(episodes=2000),
+                            behavior_epsilons=[0.2], num_trajectories=[8], horizons=[40],
+                            methods=methods, seeds=1, solver=SolverParams(iters=200))
+
+
+def solve_spy(monkeypatch, solve):
+    """Replace the solver name every solve looks up with ``solve`` after
+    noting the calling thread's name; returns the list of names."""
+    names = []
+
+    def spy(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(corrections, "solve_normalized_quadratic", spy)
+    return names
+
+
+class TestConcurrentSolves:
+    """A cell assembles every method, solves all of their problems together
+    (forms stored as CSR on threads) and then estimates."""
+
+    def test_threaded_cell_equals_serial_run_method(self, monkeypatch):
+        cfg = small_taxi_config(["bch", "emp", "sadl", "wis"])
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        names = solve_spy(monkeypatch, corrections.solve_normalized_quadratic)
+        records = run_experiment(cfg, master_seed=0, measure_time=False)
+        assert len(names) == 3 and all(n.startswith("empbench-solve") for n in names)
+        mdp, target, behaviors, truth, d_target = _cell_context(cfg, 0)
+        data = generate_cell_data(mdp, behaviors, 8, 40,
+                                  harness._derive_seed(0, harness._TAG_DATA, 8, 40, 0))
+        names.clear()
+        serial = []
+        for method in cfg.methods:
+            estimate, dist = run_method(method, target, behaviors, data, cfg.kernel,
+                                        cfg.solver)
+            serial.append(ResultRecord(
+                "taxi", method, 8, 40, 0, estimate, truth, (estimate - truth) ** 2,
+                tv_distance(dist, d_target) if dist is not None else None, 0))
+        assert names == ["MainThread"] * 3
+        assert records == serial
+
+    @pytest.mark.parametrize("workers, threads", [(1, 8), (2, 4), (3, 2), (8, 1), (16, 1)])
+    def test_threads_share_the_cpus_among_workers(self, monkeypatch, workers, threads):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 8)
+        assert harness._solve_threads(workers) == threads
+        asked = []
+        solve_problems = harness.solve_problems
+
+        def spy(problems, iters, threads):
+            asked.append(threads)
+            return solve_problems(problems, iters, threads)
+
+        monkeypatch.setattr(harness, "solve_problems", spy)
+        cfg = parse_config(TINY_CONFIG)
+        harness._run_cell((cfg, 0, False, 6, 20, 0), workers=workers)
+        assert asked == [threads]
+
+    def test_degenerate_reference_on_a_worker_thread_surfaces(self, monkeypatch):
+        cfg = small_taxi_config(["bch", "emp"])
+        raised = []
+
+        def degenerate(*args, **kwargs):
+            raised.append(DegenerateReference("reference has no mass anywhere"))
+            raise raised[-1]
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        names = solve_spy(monkeypatch, degenerate)
+        with pytest.raises(DegenerateReference) as info:
+            run_experiment(cfg, master_seed=0)
+        assert any(info.value is exc for exc in raised)
+        assert names and all(n.startswith("empbench-solve") for n in names)
 
 
 class TestTaxiMemory:

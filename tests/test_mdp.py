@@ -569,6 +569,15 @@ class TestPopulationDataset:
         d = stationary_distribution(mdp, behavior).probs
         np.testing.assert_allclose(marginal, d, atol=1e-9)
 
+    @pytest.mark.parametrize("num_behaviors, weights", [(1, [0.5, 0.5]), (2, [1.0])])
+    def test_weights_must_match_the_behaviors(self, num_behaviors, weights):
+        # a longer list used to be cut without a word, a shorter one to fail
+        # with a bare IndexError
+        behaviors = [uniform_policy(5, 2)] * num_behaviors
+        with pytest.raises(ValueError, match=rf"shape \({len(weights)},\); "
+                                             rf"{num_behaviors} behaviors"):
+            population_dataset(build_singlepath(), behaviors, weights)
+
     def test_mixture_of_two_behaviors(self):
         rng = np.random.default_rng(8)
         mdp = random_mdp(rng, 3, 2)
