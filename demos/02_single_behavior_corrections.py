@@ -12,7 +12,7 @@ Run: python3 demos/02_single_behavior_corrections.py
 
 import numpy as np
 
-from empbench import (SolverParams, TransitionDataset, average_reward,
+from empbench import (SampleGroup, SolverParams, TransitionDataset, average_reward,
                       build_gridworld, greedy_policy, learn_bch, learn_emp,
                       ratio_reward_estimate, sample_trajectories, soften_policy,
                       stationary_distribution, stepwise_wis_estimate,
@@ -32,7 +32,7 @@ print(f"true average reward of the target policy: {truth:.4f}")
 
 rows = []
 for seed in range(SEEDS):
-    trajs = sample_trajectories(mdp, behavior, num_traj=100, horizon=200, seed=seed)
+    trajs = sample_trajectories(mdp, [SampleGroup(behavior, 100, seed)], 200)
     data = TransitionDataset.from_trajectories(trajs)
 
     omega_aware = learn_bch(data, target, behavior, solver=solver)

@@ -21,7 +21,7 @@ from .harness import (METHOD_NAMES, STATE_METHODS, ExperimentConfig, InvalidConf
                       PolicySpec, ResultRecord, StateMethod, SummaryRow, UnknownMethod,
                       emit_csv, load_config, parse_config, read_records_csv, run_experiment,
                       run_method, summarize_mse, summarize_tv, tv_distance)
-from .mdp import (MissingLabel, NonErgodicChain, StateDistribution, TabularMDP,
+from .mdp import (MissingLabel, NonErgodicChain, SampleGroup, StateDistribution, TabularMDP,
                   TabularPolicy, Trajectory, TransitionDataset, average_reward,
                   greedy_policy, population_dataset, sample_trajectories,
                   soften_policy, stationary_distribution, train_q_learning_policy,
@@ -35,7 +35,7 @@ __all__ = [
     "CorrectionVector", "DegenerateReference", "ENVIRONMENTS", "ExperimentConfig",
     "HeuristicTable", "InvalidConfig", "KernelSpec", "METHOD_NAMES", "MissingLabel",
     "NonErgodicChain", "PolicySpec", "QuadraticForm", "ResultRecord", "STATE_METHODS",
-    "SolverParams", "StateActionCorrection", "StateDistribution", "StateMethod",
+    "SampleGroup", "SolverParams", "StateActionCorrection", "StateDistribution", "StateMethod",
     "SummaryRow", "TabularMDP", "TabularPolicy", "Trajectory", "TransitionDataset",
     "UnknownMethod", "WeightVector",
     "assemble_state_action_quadratic", "assemble_state_quadratic", "average_reward",

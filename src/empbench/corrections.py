@@ -28,12 +28,16 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse import _sparsetools  # the kernel behind CSR @ vector
 
-from .mdp import StateDistribution, TabularPolicy, TransitionDataset, check_probabilities
-from .policies import empirical_state_distribution, estimate_policy_mle
+from .mdp import (StateDistribution, TabularPolicy, TransitionDataset, check_probabilities,
+                  matvec_into)
+from .policies import empirical_state_distribution, estimate_policy_mle, state_action_counts
 
 RATIO_FLOOR = 1e-12
+
+# forms of at least this many variables are stored as CSR when sparse enough;
+# smaller ones are assembled and stored dense
+SPARSE_MIN_DIM = 512
 
 KERNEL_KINDS = ("state-delta", "state-action-delta", "gaussian-on-embedding")
 
@@ -99,8 +103,8 @@ class QuadraticForm:
     """Symmetric PSD form representing an objective x -> scale * x' A x.
 
     ``entries`` holds A as the solver multiplies by it: CSR when A has at
-    least 512 rows and fewer than a quarter of its entries nonzero, dense
-    otherwise; :attr:`matrix` is always dense.  The data-average
+    least ``SPARSE_MIN_DIM`` (512) rows and fewer than a quarter of its
+    entries nonzero, dense otherwise; :attr:`matrix` is always dense.  The data-average
     normalization (1 / total-weight-squared) is kept as the separate
     ``scale`` scalar instead of being folded into the entries: with unit
     sample weights the accumulated Gram matrix is integer-valued, so exact
@@ -123,7 +127,7 @@ class QuadraticForm:
             raise ValueError(f"matrix must be ({self.dim}, {self.dim})")
         if not np.isfinite(entries.data if sparse.issparse(entries) else entries).all():
             raise ValueError("quadratic form entries must be finite")
-        if self.dim >= 512 and nnz < 0.25 * self.dim**2:
+        if self.dim >= SPARSE_MIN_DIM and nnz < 0.25 * self.dim**2:
             self.entries = sparse.csr_matrix(entries)
         else:
             self.entries = entries if isinstance(entries, np.ndarray) else entries.toarray()
@@ -202,14 +206,50 @@ def importance_ratios(data: TransitionDataset, target: TabularPolicy,
     return target.probs[data.s, data.a] / np.maximum(denom, RATIO_FLOOR)
 
 
+def _factor(vals, rows, cols, dim: int):
+    """The (dim, dim) matrix holding the sum of ``vals`` at each (row, col).
+    Below ``SPARSE_MIN_DIM`` it is dense, each entry's terms added in input
+    order by ``np.bincount``; otherwise CSR, through scipy's COO to CSR
+    conversion."""
+    if dim < SPARSE_MIN_DIM:
+        return np.bincount(rows * dim + cols, weights=vals,
+                           minlength=dim * dim).reshape(dim, dim)
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+
+
+def _dense_gram(left: np.ndarray) -> np.ndarray:
+    """left @ left' for a dense factor, each entry (i, j) the sum over k of
+    left[i, k] left[j, k] taken over the nonzero products in ascending k,
+    the order CSR SpGEMM adds them in.  Entries (i, j) and (j, i) add the
+    same products in the same order, so the result is exactly symmetric.
+
+    Every pair of nonzeros sharing a column k is one term, and
+    ``np.bincount`` adds each entry's terms in the order the pairs are
+    listed: by k, then by row.
+    """
+    n = left.shape[0]
+    k, i = np.nonzero(left.T)  # nonzeros by column, rows ascending within one
+    vals = left[i, k]
+    per_k = np.bincount(k, minlength=left.shape[1])
+    # entry e pairs with the per_k[k[e]] entries of its column, in row order
+    reps = per_k[k]
+    first = np.repeat(np.arange(len(k)), reps)
+    offsets = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
+    second = np.repeat(np.cumsum(per_k)[k] - reps, reps) + offsets
+    return np.bincount(i[first] * n + i[second], weights=vals[first] * vals[second],
+                       minlength=n * n).reshape(n, n)
+
+
 def _kernel_quadratic(left, kernel: KernelSpec, gram, w_total: float) -> QuadraticForm:
-    """The symmetric form left K left' / W^2 of a sparse factor ``left``:
-    K is the identity for the delta kernels, which keeps the form sparse, and
+    """The symmetric form left K left' / W^2 of the factor ``left``, dense or
+    CSR (see :func:`_factor`): K is the identity for the delta kernels, and
     ``gram()``, a dense Gram matrix, for the gaussian one."""
     if kernel.kind == "gaussian-on-embedding":
-        dense = left.toarray()
+        dense = left if isinstance(left, np.ndarray) else left.toarray()
         mat = dense @ gram() @ dense.T
         mat = 0.5 * (mat + mat.T)
+    elif isinstance(left, np.ndarray):
+        mat = _dense_gram(left)
     else:
         # already exactly symmetric: SpGEMM sums the products for (i, j) and
         # (j, i) over the same k in the same ascending order, and IEEE
@@ -243,8 +283,7 @@ def assemble_state_quadratic(data: TransitionDataset, target: TabularPolicy,
     rows = np.concatenate([data.sp, data.sp])
     cols = np.concatenate([data.s, data.sp])
     vals = np.concatenate([data.weights * rho, -data.weights])
-    c = sparse.coo_matrix((vals, (rows, cols)),
-                          shape=(num_states, num_states)).tocsr()
+    c = _factor(vals, rows, cols, num_states)
     return _kernel_quadratic(c.T, kernel, lambda: kernel.gram(num_states),
                              float(data.weights.sum()))
 
@@ -280,29 +319,13 @@ def assemble_state_action_quadratic(data: TransitionDataset, target: TabularPoli
                             + np.arange(num_actions)[None, :]).ravel()])
     vals = np.concatenate([data.weights * nu[data.a],
                            (-(data.weights * pi_sa)[:, None] * nu[None, :]).ravel()])
-    m = sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    m = _factor(vals, rows, cols, dim)
     return _kernel_quadratic(m, kernel, lambda: kernel.gram(num_states, num_actions),
                              float(data.weights.sum()))
 
 
-def _matvec(matrix):
-    """The product v, out -> ``out`` = matrix @ v into a preallocated vector,
-    rounded as ``matrix @ v`` is: the same BLAS call for a dense array, and
-    for CSR the kernel scipy's ``@`` runs, which adds each row's products in
-    stored order into a zeroed vector."""
-    if not sparse.issparse(matrix):
-        return lambda v, out: np.matmul(matrix, v, out=out)
-    rows, cols = matrix.shape
-
-    def product(v, out):
-        out.fill(0.0)
-        _sparsetools.csr_matvec(rows, cols, matrix.indptr, matrix.indices, matrix.data, v, out)
-        return out
-    return product
-
-
 def _lambda_max(matrix, dim: int) -> float:
-    product = _matvec(matrix)
+    product = matvec_into(matrix)
     v = np.random.default_rng(0).standard_normal(dim)
     v /= math.sqrt(v @ v)
     w = np.empty(dim)
@@ -350,7 +373,7 @@ def solve_normalized_quadratic(A: QuadraticForm, reference, iters: int = 20000,
     lam = scale * _lambda_max(matrix, dim)
     if lam <= 1e-300:
         return x
-    product = _matvec(matrix)
+    product = matvec_into(matrix)
     step = 0.5 / lam
     step_cap = 50.0 * step
     y = product(x, np.empty(dim))
@@ -481,8 +504,7 @@ def assemble_sadl(data: TransitionDataset, target: TabularPolicy,
     kernel = kernel or KernelSpec.state_action_delta()
     qf = assemble_state_action_quadratic(data, target, np.full(num_actions, 1.0 / num_actions),
                                          kernel, num_states, num_actions)
-    freq = np.zeros((num_states, num_actions))
-    np.add.at(freq, (data.s, data.a), data.weights)
+    freq = state_action_counts(data, num_states, num_actions)
     freq /= freq.sum()
     reference = freq * target.probs
     scale = reference.sum()

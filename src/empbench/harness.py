@@ -22,7 +22,7 @@ from .corrections import (KernelSpec, SolverParams, assemble_bch, assemble_sadl,
 from .envs import ENVIRONMENTS, build_environment
 from .estimators import (balanced_heuristic, mis_reward_estimate, ratio_reward_estimate,
                          sadl_reward_estimate, stepwise_wis_estimate)
-from .mdp import (StateDistribution, TransitionDataset, average_reward,
+from .mdp import (SampleGroup, StateDistribution, TransitionDataset, average_reward,
                   check_q_learning_params, greedy_policy, sample_trajectories,
                   soften_policy, stationary_distribution, train_q_learning_policy)
 from .policies import WeightVector, compute_kl_weights, empirical_state_distribution, \
@@ -237,16 +237,13 @@ def make_policies(mdp, cfg: ExperimentConfig, master_seed: int):
 
 def generate_cell_data(mdp, behaviors, num_traj: int, horizon: int, data_seed: int):
     """The labeled dataset of ``num_traj`` trajectories split as evenly as
-    possible across the behaviors (the first ones take the remainder)."""
+    possible across the behaviors (the first ones take the remainder),
+    sampled in one :func:`sample_trajectories` call."""
     m = len(behaviors)
-    shares = [num_traj // m + (1 if j < num_traj % m else 0) for j in range(m)]
-    trajectories = []
-    for j, (policy, share) in enumerate(zip(behaviors, shares)):
-        if share == 0:
-            continue
-        trajectories.extend(sample_trajectories(
-            mdp, policy, share, horizon, seed=_derive_seed(data_seed, j), label=j))
-    return TransitionDataset.from_trajectories(trajectories)
+    groups = [SampleGroup(policy, num_traj // m + (1 if j < num_traj % m else 0),
+                          _derive_seed(data_seed, j), j)
+              for j, policy in enumerate(behaviors)]
+    return TransitionDataset.from_trajectories(sample_trajectories(mdp, groups, horizon))
 
 
 def _kl_reweighted(spec: StateMethod, data: TransitionDataset, target, behaviors):

@@ -10,9 +10,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse import _sparsetools  # the kernel behind CSR @ vector
 
 PROB_ATOL = 1e-12
 
@@ -271,23 +273,41 @@ def chain_matrix(mdp: TabularMDP, policy: TabularPolicy) -> sparse.csr_matrix:
 _RESIDUAL_WINDOW = 1000
 
 
+def matvec_into(matrix):
+    """The product v, out -> ``out`` = matrix @ v into a preallocated vector,
+    rounded as ``matrix @ v`` is: the same BLAS call for a dense array, and
+    for CSR the kernel scipy's ``@`` runs, which adds each row's products in
+    stored order into a zeroed vector, without the wrapper's per-call cost."""
+    if not sparse.issparse(matrix):
+        return lambda v, out: np.matmul(matrix, v, out=out)
+    rows, cols = matrix.shape
+
+    def product(v, out):
+        out.fill(0.0)
+        _sparsetools.csr_matvec(rows, cols, matrix.indptr, matrix.indices, matrix.data, v, out)
+        return out
+    return product
+
+
 def stationary_distribution(mdp: TabularMDP, policy: TabularPolicy,
                             tol: float = 1e-10, max_iters: int = 10**6) -> StateDistribution:
     """Stationary distribution of the policy-induced chain by power iteration.
 
     Starts from the uniform vector and iterates d <- d M, as the sparse
-    product M^T d, until the balance residual ||d M - d||_1 drops below
-    ``tol``.  M is stochastic, so the residual never grows; it stays put on
-    a periodic chain.  Raises :class:`NonErgodicChain` when the residual
-    has not shrunk over ``_RESIDUAL_WINDOW`` iterations, or has not
-    converged within ``max_iters`` iterations.
+    product M^T d (:func:`matvec_into`, into reused buffers), until the
+    balance residual ||d M - d||_1 drops below ``tol``.  M is stochastic, so
+    the residual never grows; it stays put on a periodic chain.  Raises
+    :class:`NonErgodicChain` when the residual has not shrunk over
+    ``_RESIDUAL_WINDOW`` iterations, or has not converged within
+    ``max_iters`` iterations.
     """
-    m_t = chain_matrix(mdp, policy).T.tocsr()
+    product = matvec_into(chain_matrix(mdp, policy).T.tocsr())
     d = np.full(mdp.num_states, 1.0 / mdp.num_states)
+    d_next, diff = np.empty_like(d), np.empty_like(d)
     checkpoint = np.inf
     for k in range(max_iters):
-        d_next = m_t @ d
-        residual = np.abs(d_next - d).sum()
+        product(d, d_next)
+        residual = np.abs(np.subtract(d_next, d, out=diff), out=diff).sum()
         if residual <= tol:
             return StateDistribution(d / d.sum())
         if k % _RESIDUAL_WINDOW == 0:
@@ -296,7 +316,7 @@ def stationary_distribution(mdp: TabularMDP, policy: TabularPolicy,
                     f"balance residual stopped shrinking at {residual:.3g} after {k} "
                     "iterations: the chain is periodic or reducible")
             checkpoint = residual
-        d = d_next
+        d, d_next = d_next, d
     raise NonErgodicChain(
         f"balance residual did not reach {tol} within {max_iters} iterations")
 
@@ -327,18 +347,24 @@ def support_cdf_table(table):
     ``min(searchsorted(cumsum(row), u, "right"), K - 1)`` picks.  A draw at
     or past the row's last sum lands on the padding, which is column K - 1.
     """
-    table = sparse.csr_matrix(table)
     num_rows, num_cols = table.shape
-    counts = np.diff(table.indptr).astype(np.int64)
-    rows = np.repeat(np.arange(num_rows), counts)
+    if sparse.issparse(table):
+        counts = np.diff(table.indptr).astype(np.int64)
+        rows = np.repeat(np.arange(num_rows), counts)
+        entry_cols, entries = table.indices, table.data
+    else:  # the nonzero entries row by row, each row's in column order
+        flat = np.flatnonzero(table)
+        rows, entry_cols = np.divmod(flat, num_cols)
+        entries = table.ravel()[flat]
+        counts = np.bincount(rows, minlength=num_rows)
     width = int(counts.max()) + 1
-    pos = np.arange(len(rows)) - np.repeat(table.indptr[:-1], counts)
+    pos = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
     cum = np.zeros((num_rows, width))
-    cum[rows, pos] = table.data
+    cum[rows, pos] = entries
     cum = np.cumsum(cum, axis=1)
     cum[np.arange(width) >= counts[:, None]] = np.inf
     col_table = np.full((num_rows, width), num_cols - 1, dtype=np.int64)
-    col_table[rows, pos] = table.indices
+    col_table[rows, pos] = entry_cols
     return cum, col_table, counts
 
 
@@ -353,40 +379,63 @@ def _draw(cum: np.ndarray, cols: np.ndarray, rows: np.ndarray, u: np.ndarray) ->
 _UNIFORM_BUFFER = 1 << 19
 
 
-def sample_trajectories(mdp: TabularMDP, policy: TabularPolicy, num_traj: int,
-                        horizon: int, seed: int, label: int = 0) -> list[Trajectory]:
-    """Simulate ``num_traj`` rollouts of exactly ``horizon`` steps each.
+class SampleGroup(NamedTuple):
+    """``num_traj`` rollouts of ``policy`` labeled ``label``, drawn from
+    ``np.random.default_rng(seed)``."""
+
+    policy: TabularPolicy
+    num_traj: int
+    seed: int
+    label: int = 0
+
+
+def sample_trajectories(mdp: TabularMDP, groups, horizon: int) -> list[Trajectory]:
+    """Simulate rollouts of exactly ``horizon`` steps for each of ``groups``
+    (:class:`SampleGroup` or equal tuples), returned group after group.
 
     Every trajectory starts from the MDP's initial distribution.  Identical
     seeds produce bit-identical output.  Each trajectory consumes 1 + 2 *
-    horizon uniforms in the order (initial state, then action and next
-    state per step); the rollouts of a block advance in lockstep, one
-    vectorized inverse-CDF draw per time step.
+    horizon uniforms from its group's generator in the order (initial state,
+    then action and next state per step), the group's trajectories one
+    after another.  The rollouts of all groups advance together in blocks,
+    one vectorized inverse-CDF draw per time step, with the groups' action
+    tables stacked; so a trajectory does not depend on the other groups.
     """
-    if num_traj < 1 or horizon < 1:
-        raise ValueError("num_traj and horizon must be >= 1")
-    rng = np.random.default_rng(seed)
-    act_cum, act_cols, _ = support_cdf_table(policy.probs)
+    groups = [SampleGroup(*group) for group in groups]
+    num_states, num_actions = mdp.num_states, mdp.num_actions
+    if horizon < 1 or any(group.num_traj < 0 for group in groups):
+        raise ValueError("horizon must be >= 1 and num_traj >= 0")
+    if any(group.policy.probs.shape != (num_states, num_actions) for group in groups):
+        raise ValueError(f"every policy must be ({num_states}, {num_actions})")
+    group_of = np.repeat(np.arange(len(groups)), [group.num_traj for group in groups])
+    if not len(group_of):
+        return []
+    rngs = [np.random.default_rng(group.seed) for group in groups]
+    # group g's action row for state s is row g * S + s
+    act_cum, act_cols, _ = support_cdf_table(np.concatenate([g.policy.probs for g in groups]))
     next_cum, next_cols, _ = mdp.transition_cdf
     init_cdf = np.cumsum(mdp.initial_dist)
-    num_states, num_actions = mdp.num_states, mdp.num_actions
-    block = max(1, _UNIFORM_BUFFER // (1 + 2 * horizon))
+    width = 1 + 2 * horizon
+    block = max(1, _UNIFORM_BUFFER // width)
     out = []
-    for first in range(0, num_traj, block):
-        n = min(block, num_traj - first)
-        u = rng.random((n, 1 + 2 * horizon))
+    for first in range(0, len(group_of), block):
+        which = group_of[first:first + block]
+        per_group = np.bincount(which, minlength=len(groups)).tolist()
+        u = np.concatenate([rng.random((n, width)) for rng, n in zip(rngs, per_group) if n])
+        act_rows = which * num_states
         path = [np.minimum(np.searchsorted(init_cdf, u[:, 0], side="right"), num_states - 1)]
         actions = []
         for t in range(horizon):
             s = path[-1]
-            a = _draw(act_cum, act_cols, s, u[:, 1 + 2 * t])
+            a = _draw(act_cum, act_cols, act_rows + s, u[:, 1 + 2 * t])
             actions.append(a)
             path.append(_draw(next_cum, next_cols, s * num_actions + a, u[:, 2 + 2 * t]))
         path, actions = np.stack(path, axis=1), np.stack(actions, axis=1)
         states, nexts = path[:, :-1], path[:, 1:].copy()
         rewards = mdp.reward[states, actions]
-        out.extend(Trajectory(states[i], actions[i], rewards[i], nexts[i], policy_label=label)
-                   for i in range(n))
+        out.extend(Trajectory(states[i], actions[i], rewards[i], nexts[i],
+                              policy_label=groups[g].label)
+                   for i, g in enumerate(which.tolist()))
     return out
 
 

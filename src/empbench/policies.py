@@ -31,6 +31,17 @@ class WeightVector:
         return len(self.weights)
 
 
+def state_action_counts(data: TransitionDataset, num_states: int,
+                        num_actions: int) -> np.ndarray:
+    """(S, A) table of the records' summed weights per (s, a), each entry's
+    weights added in record order."""
+    if len(data) and (data.s.max() >= num_states or data.a.max() >= num_actions):
+        raise ValueError(f"records must index {num_states} states and {num_actions} actions")
+    counts = np.bincount(data.s * num_actions + data.a, weights=data.weights,
+                         minlength=num_states * num_actions)
+    return counts.reshape(num_states, num_actions)
+
+
 def estimate_policy_mle(data: TransitionDataset, num_states: int,
                         num_actions: int) -> TabularPolicy:
     """Count-frequency (maximum likelihood) estimate of the data-generating
@@ -38,8 +49,7 @@ def estimate_policy_mle(data: TransitionDataset, num_states: int,
 
     Rows of states never visited fall back to uniform.
     """
-    counts = np.zeros((num_states, num_actions))
-    np.add.at(counts, (data.s, data.a), data.weights)
+    counts = state_action_counts(data, num_states, num_actions)
     row_sums = counts.sum(axis=1)
     probs = np.full((num_states, num_actions), 1.0 / num_actions)
     visited = row_sums > 0

@@ -3,8 +3,11 @@
 import dataclasses
 
 import numpy as np
+import scipy.sparse as sparse
 
-from empbench import TabularMDP, TabularPolicy, Trajectory, stationary_distribution
+from empbench import (StateDistribution, TabularMDP, TabularPolicy, Trajectory, importance_ratios,
+                      stationary_distribution)
+from empbench.mdp import chain_matrix
 
 
 def random_mdp(rng, num_states, num_actions, reward_scale=1.0):
@@ -248,9 +251,74 @@ def reference_population_columns(transition, reward, stationary, behaviors, weig
 
 def reference_delta_quadratic(left):
     """Frozen copy of the original dense delta-kernel form: the sparse
-    product densified, then symmetrized in dense."""
+    product densified, then symmetrized in dense.  A dense factor is
+    multiplied as CSR."""
+    if isinstance(left, np.ndarray):
+        left = sparse.csr_matrix(left)
     mat = (left @ left.T).toarray()
     return 0.5 * (mat + mat.T)
+
+
+def reference_delta_factors(data, target, denom, nu, num_states, num_actions):
+    """Frozen copy of the original delta-kernel factors, each built by
+    scipy's COO to CSR conversion: without ``nu``, the state form's ``left``
+    (the transpose of the CSR matrix whose row s' holds the residuals of the
+    records ending in s'); with ``nu``, the state-action form's CSR
+    ``left``."""
+    if nu is None:
+        rho = importance_ratios(data, target, denom)
+        vals = np.concatenate([data.weights * rho, -data.weights])
+        rows, cols = np.concatenate([data.sp, data.sp]), np.concatenate([data.s, data.sp])
+        return sparse.coo_matrix((vals, (rows, cols)),
+                                 shape=(num_states, num_states)).tocsr().T
+    dim = num_states * num_actions
+    pair = data.s * num_actions + data.a
+    pi_sa = target.probs[data.s, data.a]
+    rows = np.concatenate([pair, np.repeat(pair, num_actions)])
+    cols = np.concatenate([pair, (data.sp[:, None] * num_actions
+                                  + np.arange(num_actions)[None, :]).ravel()])
+    vals = np.concatenate([data.weights * nu[data.a],
+                           (-(data.weights * pi_sa)[:, None] * nu[None, :]).ravel()])
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+
+
+def reference_k_ordered_gram(left):
+    """left @ left' for a dense factor by the definition: entry (i, j) adds
+    left[i, k] left[j, k] for k = 0, 1, ... wherever both are nonzero,
+    starting from 0.0."""
+    n, num_k = left.shape
+    gram = np.zeros((n, n))
+    for k in range(num_k):
+        nonzero = np.flatnonzero(left[:, k])
+        for i in nonzero:
+            for j in nonzero:
+                gram[i, j] += left[i, k] * left[j, k]
+    return gram
+
+
+def reference_policy_mle(data, num_states, num_actions):
+    """Frozen copy of the original maximum-likelihood policy estimate, which
+    counted with ``np.add.at``."""
+    counts = np.zeros((num_states, num_actions))
+    np.add.at(counts, (data.s, data.a), data.weights)
+    row_sums = counts.sum(axis=1)
+    probs = np.full((num_states, num_actions), 1.0 / num_actions)
+    visited = row_sums > 0
+    probs[visited] = counts[visited] / row_sums[visited, None]
+    return TabularPolicy(probs)
+
+
+def reference_stationary_distribution(mdp, policy, tol=1e-10):
+    """Frozen copy of the original power iteration, which multiplied through
+    scipy's ``m_t @ d`` into a new vector at each step (its non-ergodicity
+    checks left out)."""
+    m_t = chain_matrix(mdp, policy).T.tocsr()
+    d = np.full(mdp.num_states, 1.0 / mdp.num_states)
+    while True:
+        d_next = m_t @ d
+        if np.abs(d_next - d).sum() <= tol:
+            return StateDistribution(d / d.sum())
+        d = d_next
 
 
 def reference_lambda_max(matrix, dim):

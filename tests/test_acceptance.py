@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from empbench import (KernelSpec, SolverParams, TabularPolicy, TransitionDataset,
+from empbench import (KernelSpec, SampleGroup, SolverParams, TabularPolicy, TransitionDataset,
                       WeightVector, average_reward, balanced_heuristic,
                       build_singlepath, build_taxi, greedy_policy, learn_bch,
                       learn_emp, learn_sadl, mis_reward_estimate, population_dataset,
@@ -76,8 +76,8 @@ def taxi_wis_horizon_mse():
     for horizon in (50, 100, 200):
         errors = []
         for seed in range(200):
-            trajs = sample_trajectories(mdp, behavior, 200, horizon,
-                                        seed=_derive_seed(0, 2, 200, horizon, seed))
+            group = SampleGroup(behavior, 200, _derive_seed(0, 2, 200, horizon, seed))
+            trajs = sample_trajectories(mdp, [group], horizon)
             est = stepwise_wis_estimate(TransitionDataset.from_trajectories(trajs),
                                         target, [behavior])
             errors.append((est - truth) ** 2)
@@ -157,8 +157,8 @@ def test_criterion_3_on_policy_identity():
     mdp = build_singlepath()
     behavior = SINGLEPATH_B1
     num_traj, horizon = 100, 1000
-    trajs = sample_trajectories(stationary_start(mdp, behavior), behavior,
-                                num_traj, horizon, seed=103)
+    trajs = sample_trajectories(stationary_start(mdp, behavior),
+                                [SampleGroup(behavior, num_traj, 103)], horizon)
     data = TransitionDataset.from_trajectories(trajs)
     omega = learn_emp(data, behavior)
     visits = np.bincount(data.s, minlength=5)
@@ -210,8 +210,7 @@ def test_criterion_5_single_behavior_mse_ordering(taxi_sweep, gridworld_single_s
 def test_criterion_6_balanced_heuristic_collapses_to_pooled_form():
     mdp = build_singlepath()
     b1, b2, target = SINGLEPATH_B1, SINGLEPATH_B2, SINGLEPATH_TARGET
-    trajs = sample_trajectories(mdp, b1, 6, 40, seed=106, label=0)
-    trajs += sample_trajectories(mdp, b2, 6, 40, seed=107, label=1)
+    trajs = sample_trajectories(mdp, [SampleGroup(b1, 6, 106, 0), SampleGroup(b2, 6, 107, 1)], 40)
     data = TransitionDataset.from_trajectories(trajs)
     d1 = stationary_distribution(mdp, b1)
     d2 = stationary_distribution(mdp, b2)
@@ -245,8 +244,8 @@ def test_criterion_7_mis_unbiasedness():
     mdp2 = stationary_start(mdp, b2)
     estimates = []
     for seed in range(200):
-        trajs = sample_trajectories(mdp1, b1, 10, 100, seed=2 * seed, label=0)
-        trajs += sample_trajectories(mdp2, b2, 10, 100, seed=2 * seed + 1, label=1)
+        trajs = sample_trajectories(mdp1, [SampleGroup(b1, 10, 2 * seed, 0)], 100)
+        trajs += sample_trajectories(mdp2, [SampleGroup(b2, 10, 2 * seed + 1, 1)], 100)
         data = TransitionDataset.from_trajectories(trajs)
         estimates.append(mis_reward_estimate(data, omegas, [b1, b2], target, heur))
     estimates = np.asarray(estimates)

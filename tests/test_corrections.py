@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from empbench import corrections
 from empbench import (CorrectionVector, DegenerateReference, KernelSpec, QuadraticForm,
-                      SolverParams, TabularPolicy, TransitionDataset,
+                      SampleGroup, SolverParams, TabularPolicy, TransitionDataset,
                       assemble_state_action_quadratic, assemble_state_quadratic,
                       build_gridworld, build_singlepath, build_taxi, importance_ratios,
                       learn_bch, learn_emp, learn_sadl, population_dataset, sample_trajectories,
@@ -19,7 +19,8 @@ from empbench.policies import empirical_state_distribution, estimate_policy_mle
 
 from helpers import (naive_state_action_objective, naive_state_quadratic,
                      one_hot_gaussian_gram, random_mdp, random_policy, random_soft_policy,
-                     reference_delta_quadratic, reference_pgd_solve, stationary_start)
+                     reference_delta_factors, reference_delta_quadratic,
+                     reference_k_ordered_gram, reference_pgd_solve, stationary_start)
 
 
 def random_dataset(rng, num_states, num_actions, n, unit_weights=True):
@@ -324,6 +325,83 @@ class TestSparseQuadraticForms:
             QuadraticForm(sparse.eye(3), 2)
 
 
+def delta(x, y):
+    return float(x == y)
+
+
+class TestDenseQuadraticForms:
+    """Forms below SPARSE_MIN_DIM variables are assembled dense: the factor
+    from np.bincount, the form from its columns in ascending order."""
+
+    # (dim, records) per state form; (states, actions, records) per
+    # state-action form of 5, 16 and 511 variables
+    STATE_CASES = [(5, 200), (16, 120), (511, 25)]
+    STATE_ACTION_CASES = [(5, 1, 200), (4, 4, 120), (73, 7, 25)]
+
+    @staticmethod
+    def check_dense_form(qf, left, frozen_left):
+        assert isinstance(qf.entries, np.ndarray) and isinstance(left, np.ndarray)
+        mat = qf.matrix
+        assert np.array_equal(mat, mat.T)
+        assert np.array_equal(mat, reference_k_ordered_gram(left))
+        # the frozen path sums the factor's duplicate entries in another order
+        frozen = reference_delta_quadratic(frozen_left)
+        assert np.abs(mat - frozen).max() <= 1e-12 * np.abs(frozen).max()
+
+    @pytest.mark.parametrize("dim, n", STATE_CASES)
+    @pytest.mark.parametrize("unit_weights", [True, False])
+    def test_state_form(self, monkeypatch, dim, n, unit_weights):
+        rng = np.random.default_rng(dim)
+        data = random_dataset(rng, dim, 2, n, unit_weights)
+        target, denom = random_soft_policy(rng, dim, 2), random_soft_policy(rng, dim, 2)
+        qf, left = assemble_with_factor(monkeypatch, assemble_state_quadratic, data, target,
+                                        denom, KernelSpec.state_delta(), dim)
+        self.check_dense_form(qf, left,
+                              reference_delta_factors(data, target, denom, None, dim, 2))
+        # the factor adds each entry's terms in record order: every record's
+        # rho term, then every record's -1
+        rho = importance_ratios(data, target, denom)
+        c = np.zeros((dim, dim))
+        for i in range(n):
+            c[data.sp[i], data.s[i]] += data.weights[i] * rho[i]
+        for i in range(n):
+            c[data.sp[i], data.sp[i]] -= data.weights[i]
+        assert np.array_equal(left, c.T)
+        naive = naive_state_quadratic(data, target, denom, delta, dim)
+        np.testing.assert_allclose(qf.scale * qf.matrix, naive, rtol=0,
+                                   atol=1e-12 * np.abs(naive).max())
+
+    @pytest.mark.parametrize("num_states, num_actions, n", STATE_ACTION_CASES)
+    @pytest.mark.parametrize("unit_weights", [True, False])
+    def test_state_action_form(self, monkeypatch, num_states, num_actions, n, unit_weights):
+        rng = np.random.default_rng(num_states * num_actions)
+        data = random_dataset(rng, num_states, num_actions, n, unit_weights)
+        target = random_soft_policy(rng, num_states, num_actions)
+        nu = rng.dirichlet(np.ones(num_actions))
+        qf, left = assemble_with_factor(monkeypatch, assemble_state_action_quadratic, data,
+                                        target, nu, KernelSpec.state_action_delta(),
+                                        num_states, num_actions)
+        self.check_dense_form(qf, left, reference_delta_factors(data, target, None, nu,
+                                                                num_states, num_actions))
+        u = rng.random((num_states, num_actions))
+        naive = naive_state_action_objective(
+            data, target, nu, lambda x, y: float(x == y), u)
+        assert qf.value(u.ravel()) == pytest.approx(naive, rel=1e-10, abs=1e-14)
+
+    def test_512_variables_stay_csr(self, monkeypatch):
+        rng = np.random.default_rng(512)
+        data = random_dataset(rng, 512, 2, 40)
+        target, denom = random_soft_policy(rng, 512, 2), random_soft_policy(rng, 512, 2)
+        qf, left = assemble_with_factor(monkeypatch, assemble_state_quadratic, data, target,
+                                        denom, KernelSpec.state_delta(), 512)
+        assert sparse.issparse(left) and sparse.issparse(qf.entries)
+        data = random_dataset(rng, 128, 4, 40)
+        qf, left = assemble_with_factor(monkeypatch, assemble_state_action_quadratic, data,
+                                        random_soft_policy(rng, 128, 4), np.full(4, 0.25),
+                                        KernelSpec.state_action_delta(), 128, 4)
+        assert sparse.issparse(left) and sparse.issparse(qf.entries)
+
+
 def enumerate_active_sets(matrix, reference):
     """Constrained-QP oracle for small dimensions: solve the KKT system for
     every candidate set of free coordinates and keep the best feasible
@@ -504,8 +582,8 @@ def singlepath_policies():
 class TestLearnBch:
     def test_on_policy_correction_is_one(self, singlepath_policies):
         mdp, behavior, _, _ = singlepath_policies
-        trajs = sample_trajectories(stationary_start(mdp, behavior), behavior,
-                                    100, 1000, seed=0)
+        trajs = sample_trajectories(stationary_start(mdp, behavior),
+                                    [SampleGroup(behavior, 100, 0)], 1000)
         data = TransitionDataset.from_trajectories(trajs)
         omega = learn_bch(data, behavior, behavior)
         visits = np.bincount(data.s, minlength=5)
@@ -552,7 +630,7 @@ class TestLearnBch:
 
     def test_normalization_and_nonnegativity(self, singlepath_policies):
         mdp, behavior, _, target = singlepath_policies
-        trajs = sample_trajectories(mdp, behavior, 20, 50, seed=1)
+        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 20, 1)], 50)
         data = TransitionDataset.from_trajectories(trajs)
         omega = learn_bch(data, target, behavior)
         assert np.all(omega.values >= 0)
@@ -564,7 +642,7 @@ class TestLearnBchPooled:
 
     def test_single_label_bit_identical_to_plain(self, singlepath_policies):
         mdp, behavior, _, target = singlepath_policies
-        trajs = sample_trajectories(mdp, behavior, 30, 60, seed=2)
+        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 30, 2)], 60)
         data = TransitionDataset.from_trajectories(trajs)
         plain = learn_bch(data, target, behavior)
         pooled = learn_bch(data, target, [behavior])
@@ -572,8 +650,8 @@ class TestLearnBchPooled:
 
     def test_identical_behaviors_match_plain(self, singlepath_policies):
         mdp, behavior, _, target = singlepath_policies
-        trajs = sample_trajectories(mdp, behavior, 15, 60, seed=3, label=0)
-        trajs += sample_trajectories(mdp, behavior, 15, 60, seed=4, label=1)
+        trajs = sample_trajectories(
+            mdp, [SampleGroup(behavior, 15, 3, 0), SampleGroup(behavior, 15, 4, 1)], 60)
         data = TransitionDataset.from_trajectories(trajs)
         pooled = learn_bch(data, target, [behavior, behavior])
         plain = learn_bch(data, target, behavior)
@@ -607,8 +685,8 @@ class TestLearnBchPooled:
 class TestLearnEmp:
     def test_on_policy_correction_is_one(self, singlepath_policies):
         mdp, behavior, _, _ = singlepath_policies
-        trajs = sample_trajectories(stationary_start(mdp, behavior), behavior,
-                                    100, 1000, seed=5)
+        trajs = sample_trajectories(stationary_start(mdp, behavior),
+                                    [SampleGroup(behavior, 100, 5)], 1000)
         data = TransitionDataset.from_trajectories(trajs)
         omega = learn_emp(data, behavior)
         visits = np.bincount(data.s, minlength=5)
@@ -616,10 +694,9 @@ class TestLearnEmp:
 
     def test_pooled_two_behaviors_recovers_target_distribution(self, singlepath_policies):
         mdp, b1, b2, target = singlepath_policies
-        trajs = sample_trajectories(stationary_start(mdp, b1), b1, 50, 1000, seed=6,
-                                    label=0)
-        trajs += sample_trajectories(stationary_start(mdp, b2), b2, 50, 1000, seed=7,
-                                     label=1)
+        trajs = sample_trajectories(stationary_start(mdp, b1),
+                                    [SampleGroup(b1, 50, 6, 0)], 1000)
+        trajs += sample_trajectories(stationary_start(mdp, b2), [SampleGroup(b2, 50, 7, 1)], 1000)
         data = TransitionDataset.from_trajectories(trajs)
         omega = learn_emp(data, target)
         d_target = stationary_distribution(mdp, target)
@@ -629,8 +706,8 @@ class TestLearnEmp:
 class TestLearnSadl:
     def test_on_policy_correction_inverts_behavior(self, singlepath_policies):
         mdp, behavior, _, _ = singlepath_policies
-        trajs = sample_trajectories(stationary_start(mdp, behavior), behavior,
-                                    100, 1000, seed=8)
+        trajs = sample_trajectories(stationary_start(mdp, behavior),
+                                    [SampleGroup(behavior, 100, 8)], 1000)
         data = TransitionDataset.from_trajectories(trajs)
         u = learn_sadl(data, behavior)
         product = u.values * behavior.probs
@@ -655,7 +732,7 @@ class TestLearnSadl:
 
     def test_invariants(self, singlepath_policies):
         mdp, behavior, _, target = singlepath_policies
-        trajs = sample_trajectories(mdp, behavior, 30, 100, seed=9)
+        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 30, 9)], 100)
         data = TransitionDataset.from_trajectories(trajs)
         u = learn_sadl(data, target)
         assert np.all(u.values >= 0)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from empbench import (CorrectionVector, HeuristicTable, KernelSpec, MissingLabel,
-                      SolverParams, StateDistribution, TabularPolicy, TransitionDataset,
-                      WeightVector, average_reward, balanced_heuristic, build_singlepath,
-                      learn_emp, mis_reward_estimate, ratio_reward_estimate, run_method,
+                      SampleGroup, SolverParams, StateDistribution, TabularPolicy,
+                      TransitionDataset, WeightVector, average_reward, balanced_heuristic,
+                      build_singlepath, learn_emp, mis_reward_estimate, ratio_reward_estimate,
+                      run_method,
                       sadl_reward_estimate, sample_trajectories, stationary_distribution,
                       stepwise_wis_estimate)
 from empbench.corrections import StateActionCorrection
@@ -41,14 +42,14 @@ def oracle_correction(mdp, target, behavior, data, num_states):
 class TestRatioRewardEstimate:
     def test_unit_correction_on_policy_is_mean_reward(self, singlepath_setup):
         mdp, behavior, _, _ = singlepath_setup
-        trajs = sample_trajectories(mdp, behavior, 10, 50, seed=0)
+        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 10, 0)], 50)
         data = TransitionDataset.from_trajectories(trajs)
         est = ratio_reward_estimate(data, unit_correction(data, 5), behavior, behavior)
         assert est == pytest.approx(data.r.mean(), abs=1e-12)
 
     def test_zero_rewards_give_zero(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, behavior, 5, 20, seed=1)
+        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 5, 1)], 20)
         data = TransitionDataset.from_trajectories(trajs)
         data = TransitionDataset(data.s, data.a, data.sp, np.zeros(len(data)),
                                  data.labels, data.weights)
@@ -60,8 +61,8 @@ class TestRatioRewardEstimate:
         # per-trajectory means are unbiased for the target's average reward
         mdp, behavior, _, target = singlepath_setup
         num_traj, horizon = 500, 200
-        trajs = sample_trajectories(stationary_start(mdp, behavior), behavior,
-                                    num_traj, horizon, seed=2)
+        trajs = sample_trajectories(stationary_start(mdp, behavior),
+                                    [SampleGroup(behavior, num_traj, 2)], horizon)
         data = TransitionDataset.from_trajectories(trajs)
         omega = oracle_correction(mdp, target, behavior, data, 5)
         # undo the empirical renormalization: use the exact ratio as-is
@@ -81,7 +82,7 @@ class TestRatioRewardEstimate:
 
     def test_invariant_to_uniform_weight_rescaling(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, behavior, 10, 30, seed=3)
+        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 10, 3)], 30)
         data = TransitionDataset.from_trajectories(trajs)
         omega = unit_correction(data, 5)
         base = ratio_reward_estimate(data, omega, target, behavior)
@@ -91,8 +92,7 @@ class TestRatioRewardEstimate:
 
     def test_per_label_denominators(self, singlepath_setup):
         mdp, b1, b2, target = singlepath_setup
-        trajs = sample_trajectories(mdp, b1, 5, 20, seed=4, label=0)
-        trajs += sample_trajectories(mdp, b2, 5, 20, seed=5, label=1)
+        trajs = sample_trajectories(mdp, [SampleGroup(b1, 5, 4, 0), SampleGroup(b2, 5, 5, 1)], 20)
         data = TransitionDataset.from_trajectories(trajs)
         omega = unit_correction(data, 5)
         est = ratio_reward_estimate(data, omega, target, [b1, b2])
@@ -105,7 +105,7 @@ class TestRatioRewardEstimate:
 class TestSadlRewardEstimate:
     def test_inverse_behavior_collapses_to_mean_reward(self, singlepath_setup):
         mdp, behavior, _, _ = singlepath_setup
-        trajs = sample_trajectories(mdp, behavior, 10, 50, seed=6)
+        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 10, 6)], 50)
         data = TransitionDataset.from_trajectories(trajs)
         values = 1.0 / behavior.probs
         freq = np.zeros((5, 2))
@@ -121,8 +121,8 @@ class TestSadlRewardEstimate:
     def test_oracle_correction_within_three_standard_errors(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
         num_traj, horizon = 500, 200
-        trajs = sample_trajectories(stationary_start(mdp, behavior), behavior,
-                                    num_traj, horizon, seed=7)
+        trajs = sample_trajectories(stationary_start(mdp, behavior),
+                                    [SampleGroup(behavior, num_traj, 7)], horizon)
         data = TransitionDataset.from_trajectories(trajs)
         d_pi = stationary_distribution(mdp, target).probs
         d_b = stationary_distribution(mdp, behavior).probs
@@ -178,7 +178,7 @@ class TestBalancedHeuristic:
 class TestMisRewardEstimate:
     def test_single_policy_collapses_to_ratio_estimate(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, behavior, 10, 50, seed=8)
+        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 10, 8)], 50)
         data = TransitionDataset.from_trajectories(trajs)
         omega = unit_correction(data, 5)
         h = HeuristicTable(np.ones((1, 5)))
@@ -188,8 +188,7 @@ class TestMisRewardEstimate:
 
     def test_all_mass_on_first_policy_uses_only_its_terms(self, singlepath_setup):
         mdp, b1, b2, target = singlepath_setup
-        trajs = sample_trajectories(mdp, b1, 4, 25, seed=9, label=0)
-        trajs += sample_trajectories(mdp, b2, 4, 25, seed=10, label=1)
+        trajs = sample_trajectories(mdp, [SampleGroup(b1, 4, 9, 0), SampleGroup(b2, 4, 10, 1)], 25)
         data = TransitionDataset.from_trajectories(trajs)
         omega = unit_correction(data, 5)
         h = HeuristicTable(np.vstack([np.ones(5), np.zeros(5)]))
@@ -213,7 +212,7 @@ class TestMisRewardEstimate:
         # outside them must not be dropped from the estimate unnoticed
         mdp, behavior, _, target = singlepath_setup
         data = TransitionDataset.from_trajectories(
-            sample_trajectories(mdp, behavior, 3, 20, seed=19))
+            sample_trajectories(mdp, [SampleGroup(behavior, 3, 19)], 20))
         data = TransitionDataset(np.append(data.s, 0), np.append(data.a, 0),
                                  np.append(data.sp, 1), np.append(data.r, 100.0),
                                  np.append(data.labels, label))
@@ -224,7 +223,7 @@ class TestMisRewardEstimate:
     def test_unequal_correction_and_behavior_lists_raise(self, singlepath_setup):
         mdp, b1, b2, target = singlepath_setup
         data = TransitionDataset.from_trajectories(
-            sample_trajectories(mdp, b1, 3, 20, seed=20))
+            sample_trajectories(mdp, [SampleGroup(b1, 3, 20)], 20))
         h = HeuristicTable(np.vstack([np.ones(5), np.zeros(5)]))
         with pytest.raises(ValueError):
             mis_reward_estimate(data, [unit_correction(data, 5)], [b1, b2], target, h)
@@ -234,8 +233,7 @@ class TestMisRewardEstimate:
         # balanced heuristic reduce algebraically to the pooled form
         # sum_i omega(s_i) pi/pi_{j_i} r_i / N
         mdp, b1, b2, target = singlepath_setup
-        trajs = sample_trajectories(mdp, b1, 6, 40, seed=11, label=0)
-        trajs += sample_trajectories(mdp, b2, 6, 40, seed=12, label=1)
+        trajs = sample_trajectories(mdp, [SampleGroup(b1, 6, 11, 0), SampleGroup(b2, 6, 12, 1)], 40)
         data = TransitionDataset.from_trajectories(trajs)
         d1 = stationary_distribution(mdp, b1)
         d2 = stationary_distribution(mdp, b2)
@@ -264,7 +262,7 @@ class TestMisRewardEstimate:
 class TestStepwiseWis:
     def test_on_policy_is_plain_mean(self, singlepath_setup):
         mdp, behavior, _, _ = singlepath_setup
-        trajs = sample_trajectories(mdp, behavior, 8, 30, seed=13)
+        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 8, 13)], 30)
         data = TransitionDataset.from_trajectories(trajs)
         est = stepwise_wis_estimate(data, behavior, [behavior])
         rewards = np.concatenate([t.rewards for t in trajs])
@@ -272,7 +270,7 @@ class TestStepwiseWis:
 
     def test_on_policy_is_the_weighted_mean_reward(self, singlepath_setup):
         mdp, behavior, _, _ = singlepath_setup
-        trajs = sample_trajectories(mdp, behavior, 8, 30, seed=13)
+        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 8, 13)], 30)
         data = TransitionDataset.from_trajectories(trajs)
         weights = np.random.default_rng(0).uniform(0.1, 2.0, len(data))
         est = stepwise_wis_estimate(data.with_weights(weights), behavior, [behavior])
@@ -280,7 +278,7 @@ class TestStepwiseWis:
 
     def test_single_trajectory_is_weighted_mean(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        (traj,) = sample_trajectories(mdp, behavior, 1, 20, seed=14)
+        (traj,) = sample_trajectories(mdp, [SampleGroup(behavior, 1, 14)], 20)
         data = TransitionDataset.from_trajectories([traj])
         est = stepwise_wis_estimate(data, target, [behavior])
         rho = target.probs[traj.states, traj.actions] / behavior.probs[traj.states, traj.actions]
@@ -289,8 +287,7 @@ class TestStepwiseWis:
 
     def test_value_within_reward_range(self, singlepath_setup):
         mdp, b1, b2, target = singlepath_setup
-        trajs = sample_trajectories(mdp, b1, 5, 60, seed=15, label=0)
-        trajs += sample_trajectories(mdp, b2, 5, 60, seed=16, label=1)
+        trajs = sample_trajectories(mdp, [SampleGroup(b1, 5, 15, 0), SampleGroup(b2, 5, 16, 1)], 60)
         est = stepwise_wis_estimate(TransitionDataset.from_trajectories(trajs), target,
                                     [b1, b2])
         rewards = np.concatenate([t.rewards for t in trajs])
@@ -298,7 +295,7 @@ class TestStepwiseWis:
 
     def test_long_horizon_does_not_overflow(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, behavior, 3, 5000, seed=17)
+        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 3, 17)], 5000)
         est = stepwise_wis_estimate(TransitionDataset.from_trajectories(trajs), target,
                                     [behavior])
         assert np.isfinite(est)
@@ -307,7 +304,7 @@ class TestStepwiseWis:
     def test_label_outside_the_behaviors_raises(self, singlepath_setup, label):
         # label -1 used to pick the last behavior silently
         mdp, b1, b2, target = singlepath_setup
-        trajs = sample_trajectories(mdp, b1, 2, 20, seed=18, label=label)
+        trajs = sample_trajectories(mdp, [SampleGroup(b1, 2, 18, label)], 20)
         data = TransitionDataset.from_trajectories(trajs)
         with pytest.raises(ValueError, match="labels must index"):
             stepwise_wis_estimate(data, target, [b1, b2])
@@ -317,7 +314,7 @@ class TestStepwiseWis:
         # state-2 steps are gone would chain ratios across the gaps
         mdp, behavior, _, target = singlepath_setup
         data = TransitionDataset.from_trajectories(
-            sample_trajectories(mdp, behavior, 2, 20, seed=19))
+            sample_trajectories(mdp, [SampleGroup(behavior, 2, 19)], 20))
         kept = data.subset(data.s != 2)
         assert 0 < len(kept) < len(data)
         with pytest.raises(ValueError, match=r"must chain: sp\[i\] == s\[i\+1\]"):
@@ -325,7 +322,7 @@ class TestStepwiseWis:
 
     def test_missing_trajectory_ids_raise(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, behavior, 2, 20, seed=19)
+        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 2, 19)], 20)
         data = TransitionDataset.from_trajectories(trajs)
         unindexed = TransitionDataset(data.s, data.a, data.sp, data.r, data.labels)
         with pytest.raises(ValueError, match="trajectory ids"):
@@ -334,7 +331,7 @@ class TestStepwiseWis:
     def test_split_trajectory_raises(self, singlepath_setup):
         # trajectory 0's records on both sides of trajectory 1's
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, behavior, 2, 20, seed=19)
+        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 2, 19)], 20)
         data = TransitionDataset.from_trajectories(trajs)
         order = np.r_[0:10, 20:40, 10:20]
         with pytest.raises(ValueError, match="contiguous"):
@@ -350,7 +347,7 @@ def run_state_method(method, target, behaviors, data):
 class TestEmpSingle:
     def test_single_label_matches_pooled_pipeline(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, behavior, 20, 60, seed=18)
+        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 20, 18)], 60)
         data = TransitionDataset.from_trajectories(trajs)
         single = run_state_method("emp-single", target, [behavior], data)
         omega = learn_emp(data, target)
@@ -368,7 +365,7 @@ class TestEmpSingle:
 class TestKlEmp:
     def test_single_label_matches_plain_emp(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, behavior, 20, 60, seed=19)
+        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 20, 19)], 60)
         data = TransitionDataset.from_trajectories(trajs)
         kl_est = run_state_method("kl-emp", target, [behavior], data)
         omega = learn_emp(data, target)
@@ -384,8 +381,8 @@ class TestKlEmp:
         estimated = [behavior, behavior]
         w = compute_kl_weights(target, estimated, states=[0, 1, 2, 3, 4])
         np.testing.assert_array_equal(w.weights, [1.0, 0.0])
-        trajs = sample_trajectories(mdp, behavior, 10, 50, seed=20, label=0)
-        trajs += sample_trajectories(mdp, behavior, 10, 50, seed=21, label=1)
+        trajs = sample_trajectories(
+            mdp, [SampleGroup(behavior, 10, 20, 0), SampleGroup(behavior, 10, 21, 1)], 50)
         data = TransitionDataset.from_trajectories(trajs)
         # runs end to end; label-1 records end up with zero weight
         est = run_state_method("kl-emp", target, [behavior, behavior], data)

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from empbench import (METHOD_NAMES, STATE_METHODS, DegenerateReference, ExperimentConfig,
-                      InvalidConfig, KernelSpec, PolicySpec, ResultRecord, SolverParams,
-                      StateDistribution, TransitionDataset, average_reward, build_environment,
+                      InvalidConfig, KernelSpec, PolicySpec, ResultRecord, SampleGroup,
+                      SolverParams, StateDistribution, TransitionDataset, average_reward,
+                      build_environment,
                       build_singlepath, emit_csv, parse_config, read_records_csv,
                       run_experiment, run_method, sample_trajectories, summarize_mse,
                       summarize_tv, tv_distance)
@@ -314,7 +315,7 @@ class TestRunMethod:
         mdp = random_mdp(rng, num_states, num_actions)
         behavior = random_soft_policy(rng, num_states, num_actions)
         data = TransitionDataset.from_trajectories(
-            sample_trajectories(mdp, behavior, 3, 30, seed))
+            sample_trajectories(mdp, [SampleGroup(behavior, 3, seed)], 30))
         est, _ = run_method(method, behavior, [behavior], data, KernelSpec.state_delta(),
                             SolverParams())
         mean = float((data.weights * data.r).sum() / data.weights.sum())

@@ -6,8 +6,8 @@ import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
 from empbench import (CorrectionVector, HeuristicTable, KernelSpec, NonErgodicChain,
-                      QuadraticForm, StateActionCorrection, StateDistribution, TabularMDP,
-                      TabularPolicy, Trajectory, TransitionDataset, WeightVector,
+                      QuadraticForm, SampleGroup, StateActionCorrection, StateDistribution,
+                      TabularMDP, TabularPolicy, Trajectory, TransitionDataset, WeightVector,
                       assemble_state_action_quadratic, average_reward, build_gridworld,
                       build_singlepath, build_taxi, greedy_policy, population_dataset,
                       sample_trajectories, soften_policy, solve_normalized_quadratic,
@@ -18,9 +18,9 @@ from empbench.mdp import (_bounded_draw, _draw, _q_learning_table, chain_matrix,
 
 from helpers import (random_mdp, random_policy, random_soft_policy, reference_chain_matrix,
                      reference_population_columns, reference_q_table,
-                     reference_sample_trajectories, reference_support_cdf_table,
-                     reference_taxi_arrays, solve_stationary_exactly,
-                     two_state_symmetric)
+                     reference_sample_trajectories, reference_stationary_distribution,
+                     reference_support_cdf_table, reference_taxi_arrays,
+                     solve_stationary_exactly, two_state_symmetric)
 
 
 def assert_same_trajectories(actual, expected):
@@ -285,6 +285,18 @@ class TestStationaryDistribution:
         d = stationary_distribution(mdp, uniform_policy(2, 1))
         np.testing.assert_allclose(d.probs, [2 / 3, 1 / 3], atol=1e-6)
 
+    @pytest.mark.parametrize("environment", ["taxi", "gridworld", "singlepath"])
+    def test_buffered_matvec_matches_scipy_product(self, environment):
+        # the loop multiplies through matvec_into into reused buffers; the
+        # frozen loop (tests/helpers.py) through m_t @ d
+        mdp = {"taxi": build_taxi, "gridworld": build_gridworld,
+               "singlepath": build_singlepath}[environment]()
+        rng = np.random.default_rng(29)
+        shape = mdp.num_states, mdp.num_actions
+        for policy in (uniform_policy(*shape), random_soft_policy(rng, *shape)):
+            got = stationary_distribution(mdp, policy).probs
+            assert np.array_equal(got, reference_stationary_distribution(mdp, policy).probs)
+
     def test_taxi_matches_linear_solve(self):
         mdp = build_taxi()
         target = train_q_learning_policy(mdp, 2000, 0.1, 0.2, 0.95, seed=0)
@@ -336,15 +348,15 @@ class TestAverageReward:
 class TestSampling:
     def test_shape(self):
         mdp = build_singlepath()
-        trajs = sample_trajectories(mdp, uniform_policy(5, 2), 3, 7, seed=0)
+        trajs = sample_trajectories(mdp, [SampleGroup(uniform_policy(5, 2), 3, 0)], 7)
         assert len(trajs) == 3
         assert all(len(t) == 7 for t in trajs)
 
     def test_same_seed_is_bit_identical(self):
         mdp = build_gridworld()
         policy = uniform_policy(16, 4)
-        a = sample_trajectories(mdp, policy, 4, 9, seed=42)
-        b = sample_trajectories(mdp, policy, 4, 9, seed=42)
+        a = sample_trajectories(mdp, [SampleGroup(policy, 4, 42)], 9)
+        b = sample_trajectories(mdp, [SampleGroup(policy, 4, 42)], 9)
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.states, tb.states)
             assert np.array_equal(ta.actions, tb.actions)
@@ -353,7 +365,7 @@ class TestSampling:
     def test_deterministic_rollout_is_unique(self):
         mdp = build_singlepath()
         always_advance = TabularPolicy(np.tile([1.0, 0.0], (5, 1)))
-        (traj,) = sample_trajectories(mdp, always_advance, 1, 6, seed=5)
+        (traj,) = sample_trajectories(mdp, [SampleGroup(always_advance, 1, 5)], 6)
         assert traj.states.tolist() == [0, 1, 2, 3, 4, 0]
         assert traj.rewards.tolist() == [1.0] * 6
 
@@ -364,7 +376,7 @@ class TestSampling:
         d = stationary_distribution(mdp, policy).probs
         tvs = []
         for seed in range(10):
-            trajs = sample_trajectories(mdp, policy, 100, 1000, seed=seed)
+            trajs = sample_trajectories(mdp, [SampleGroup(policy, 100, seed)], 1000)
             states = np.concatenate([t.states for t in trajs])
             freq = np.bincount(states, minlength=5) / len(states)
             tvs.append(0.5 * np.abs(freq - d).sum())
@@ -380,15 +392,15 @@ class TestSamplerMatchesPerStepReference:
         rng = np.random.default_rng(5)
         for k, mdp in enumerate(small_mdps()):
             policy = random_soft_policy(rng, mdp.num_states, mdp.num_actions)
-            args = (mdp, policy, num_traj, horizon)
-            assert_same_trajectories(sample_trajectories(*args, seed=k, label=k),
-                                     reference_sample_trajectories(*args, seed=k, label=k))
+            assert_same_trajectories(
+                sample_trajectories(mdp, [SampleGroup(policy, num_traj, k, k)], horizon),
+                reference_sample_trajectories(mdp, policy, num_traj, horizon, seed=k, label=k))
 
     def test_deterministic_policy_rows(self):
         # zero-probability actions exercise the sparse action table
         mdp = build_gridworld()
         policy = greedy_policy(random_policy(np.random.default_rng(6), 16, 4))
-        assert_same_trajectories(sample_trajectories(mdp, policy, 5, 40, seed=3),
+        assert_same_trajectories(sample_trajectories(mdp, [SampleGroup(policy, 5, 3)], 40),
                                  reference_sample_trajectories(mdp, policy, 5, 40, seed=3))
 
     def test_more_trajectories_than_one_block(self, monkeypatch):
@@ -397,14 +409,52 @@ class TestSamplerMatchesPerStepReference:
         monkeypatch.setattr(mdp_module, "_UNIFORM_BUFFER", 64)
         for k, mdp in enumerate(small_mdps()):
             policy = uniform_policy(mdp.num_states, mdp.num_actions)
-            assert_same_trajectories(sample_trajectories(mdp, policy, 10, 10, seed=k),
+            assert_same_trajectories(sample_trajectories(mdp, [SampleGroup(policy, 10, k)], 10),
                                      reference_sample_trajectories(mdp, policy, 10, 10, seed=k))
 
     def test_taxi(self):
         mdp = build_taxi()
         policy = soften_policy(uniform_policy(mdp.num_states, mdp.num_actions), 0.2)
-        assert_same_trajectories(sample_trajectories(mdp, policy, 3, 150, seed=9),
+        assert_same_trajectories(sample_trajectories(mdp, [SampleGroup(policy, 3, 9)], 150),
                                  reference_sample_trajectories(mdp, policy, 3, 150, seed=9))
+
+    @settings(max_examples=40, deadline=None)
+    @given(shares=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+           horizon=st.integers(1, 12), buffer=st.sampled_from([1, 40, 1 << 19]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_groups_match_per_behavior_reference(self, shares, horizon, buffer, seed):
+        # one call for all groups returns each group's per-behavior rollouts in
+        # group order; every other group is greedy, so the stacked action
+        # tables mix rows of one and of three nonzero entries, and a small
+        # buffer splits the rollouts into several blocks that cross groups
+        rng = np.random.default_rng(seed)
+        mdp = random_mdp(rng, 5, 3)
+        policies = [random_soft_policy(rng, 5, 3) for _ in shares]
+        groups = [SampleGroup(greedy_policy(p) if j % 2 else p, n, seed + j, j)
+                  for j, (p, n) in enumerate(zip(policies, shares))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mdp_module, "_UNIFORM_BUFFER", buffer)
+            got = sample_trajectories(mdp, groups, horizon)
+        expected = [t for policy, n, group_seed, label in groups
+                    for t in reference_sample_trajectories(mdp, policy, n, horizon,
+                                                           seed=group_seed, label=label)]
+        assert_same_trajectories(got, expected)
+
+    def test_groups_without_trajectories(self):
+        mdp = build_singlepath()
+        policy = uniform_policy(5, 2)
+        assert sample_trajectories(mdp, [], 10) == []
+        assert sample_trajectories(mdp, [SampleGroup(policy, 0, 1)], 10) == []
+
+    @pytest.mark.parametrize("groups, horizon", [
+        ([(uniform_policy(5, 2), 1, 0)], 0),
+        ([(uniform_policy(5, 2), 2, 0), (uniform_policy(5, 2), -1, 1)], 5),
+        ([(uniform_policy(4, 2), 1, 0)], 5),
+        ([(uniform_policy(5, 3), 1, 0)], 5),
+    ])
+    def test_invalid_groups_raise(self, groups, horizon):
+        with pytest.raises(ValueError):
+            sample_trajectories(build_singlepath(), groups, horizon)
 
     def test_draw_past_last_cumulative_sum_returns_last_state(self):
         # ten steps of 0.1 sum to 0.9999999999999999 < 1, a value the
@@ -423,6 +473,13 @@ class TestSamplerMatchesPerStepReference:
                  for x in u]
         draws = _draw(cum, cols, np.zeros(3, dtype=np.int64), u)
         assert draws.tolist() == dense == [num_states - 1, 9, 0]
+
+    def test_dense_table_matches_reference(self):
+        rng = np.random.default_rng(13)
+        for policy in (random_soft_policy(rng, 7, 4), greedy_policy(random_policy(rng, 7, 4))):
+            expected = reference_support_cdf_table(policy.probs)
+            for got, want in zip(support_cdf_table(policy.probs), expected):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_table_sums_equal_dense_cumsum(self):
         rng = np.random.default_rng(12)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from empbench import (TabularPolicy, TransitionDataset, WeightVector,
+from empbench import (SampleGroup, TabularPolicy, TransitionDataset, WeightVector,
                       build_singlepath, compute_kl_weights, empirical_state_distribution,
                       estimate_policy_mle, exact_mixed_policy, kl_divergence_rows,
                       sample_trajectories, stationary_distribution, uniform_policy)
 
-from helpers import random_policy, stationary_start
+from helpers import random_policy, reference_policy_mle, stationary_start
 
 
 class TestEstimatePolicyMle:
@@ -36,11 +37,32 @@ class TestEstimatePolicyMle:
         policy = estimate_policy_mle(data, 6, 3)
         np.testing.assert_allclose(policy.probs.sum(axis=1), 1.0, atol=1e-12)
 
+    @settings(max_examples=50, deadline=None)
+    @given(num_states=st.integers(1, 8), num_actions=st.integers(1, 5),
+           n=st.integers(1, 300), unit_weights=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_add_at_reference(self, num_states, num_actions, n, unit_weights, seed):
+        # the bincount counts add each entry's weights in record order, as
+        # np.add.at did (tests/helpers.py), so the estimates are bitwise equal
+        rng = np.random.default_rng(seed)
+        data = TransitionDataset(s=rng.integers(0, num_states, n),
+                                 a=rng.integers(0, num_actions, n),
+                                 sp=rng.integers(0, num_states, n), r=np.zeros(n),
+                                 weights=None if unit_weights else rng.random(n) * 3.0)
+        got = estimate_policy_mle(data, num_states, num_actions).probs
+        assert np.array_equal(got, reference_policy_mle(data, num_states, num_actions).probs)
+
+    @pytest.mark.parametrize("column", ["s", "a"])
+    def test_index_past_the_table_raises(self, column):
+        data = TransitionDataset(s=[0, 1], a=[1, 0], sp=[0, 0], r=[0.0, 0.0])
+        setattr(data, column, np.array([0, 2]))
+        with pytest.raises(ValueError, match="2 states and 2 actions"):
+            estimate_policy_mle(data, 2, 2)
+
     def test_converges_to_generating_policy(self):
         mdp = build_singlepath()
         truth = TabularPolicy(np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5],
                                         [0.7, 0.3], [0.4, 0.6]]))
-        trajs = sample_trajectories(mdp, truth, 100, 1000, seed=0)
+        trajs = sample_trajectories(mdp, [SampleGroup(truth, 100, 0)], 1000)
         data = TransitionDataset.from_trajectories(trajs)
         estimate = estimate_policy_mle(data, 5, 2)
         visits = np.bincount(data.s, minlength=5)
@@ -158,8 +180,9 @@ class TestExactMixedPolicy:
         d1 = stationary_distribution(mdp, b1)
         d2 = stationary_distribution(mdp, b2)
         horizon = 1000
-        trajs = sample_trajectories(stationary_start(mdp, b1), b1, 400, horizon, seed=0)
-        trajs += sample_trajectories(stationary_start(mdp, b2), b2, 600, horizon, seed=1)
+        trajs = sample_trajectories(stationary_start(mdp, b1),
+                                    [SampleGroup(b1, 400, 0)], horizon)
+        trajs += sample_trajectories(stationary_start(mdp, b2), [SampleGroup(b2, 600, 1)], horizon)
         data = TransitionDataset.from_trajectories(trajs)
         assert len(data) == 10**6
         mixed = exact_mixed_policy([b1, b2], WeightVector([0.4, 0.6]), [d1, d2])
@@ -188,8 +211,8 @@ class TestEmpiricalStateDistribution:
         mdp = build_singlepath()
         policy = TabularPolicy(np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5],
                                          [0.7, 0.3], [0.4, 0.6]]))
-        trajs = sample_trajectories(stationary_start(mdp, policy), policy,
-                                    100, 1000, seed=3)
+        trajs = sample_trajectories(stationary_start(mdp, policy),
+                                    [SampleGroup(policy, 100, 3)], 1000)
         data = TransitionDataset.from_trajectories(trajs)
         d_hat = empirical_state_distribution(data, 5)
         d = stationary_distribution(mdp, policy)
