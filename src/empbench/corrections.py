@@ -104,11 +104,11 @@ class QuadraticForm:
 
     ``entries`` holds A as the solver multiplies by it: CSR when A has at
     least ``SPARSE_MIN_DIM`` (512) rows and fewer than a quarter of its
-    entries nonzero, dense otherwise; :attr:`matrix` is always dense.  The data-average
-    normalization (1 / total-weight-squared) is kept as the separate
-    ``scale`` scalar instead of being folded into the entries: with unit
-    sample weights the accumulated Gram matrix is integer-valued, so exact
-    cancellations (for example a residual that is identically zero on
+    entries nonzero, dense otherwise; :attr:`matrix` is always dense.  The
+    data-average normalization (1 / total-weight-squared) is kept as the
+    separate ``scale`` scalar instead of being folded into the entries: with
+    unit sample weights the accumulated Gram matrix is integer-valued, so
+    exact cancellations (for example a residual that is identically zero on
     on-policy data) survive in floating point.
     """
 

@@ -420,8 +420,10 @@ def sample_trajectories(mdp: TabularMDP, groups, horizon: int) -> list[Trajector
     out = []
     for first in range(0, len(group_of), block):
         which = group_of[first:first + block]
-        per_group = np.bincount(which, minlength=len(groups)).tolist()
-        u = np.concatenate([rng.random((n, width)) for rng, n in zip(rngs, per_group) if n])
+        u = np.empty((len(which), width))
+        ends = np.cumsum(np.bincount(which, minlength=len(groups))).tolist()
+        for rng, start, end in zip(rngs, [0] + ends, ends):
+            rng.random(out=u[start:end])  # the group's next rows, in stream order
         act_rows = which * num_states
         path = [np.minimum(np.searchsorted(init_cdf, u[:, 0], side="right"), num_states - 1)]
         actions = []

@@ -215,8 +215,8 @@ def taxi_cell():
 
 
 def assemble_with_factor(monkeypatch, assemble, *args):
-    """The form ``assemble(*args)`` returns and the sparse factor it passed
-    to ``_kernel_quadratic``."""
+    """The form ``assemble(*args)`` returns and the factor, dense or CSR,
+    it passed to ``_kernel_quadratic``."""
     factors = []
     kernel_quadratic = corrections._kernel_quadratic
 
@@ -325,10 +325,6 @@ class TestSparseQuadraticForms:
             QuadraticForm(sparse.eye(3), 2)
 
 
-def delta(x, y):
-    return float(x == y)
-
-
 class TestDenseQuadraticForms:
     """Forms below SPARSE_MIN_DIM variables are assembled dense: the factor
     from np.bincount, the form from its columns in ascending order."""
@@ -367,7 +363,7 @@ class TestDenseQuadraticForms:
         for i in range(n):
             c[data.sp[i], data.sp[i]] -= data.weights[i]
         assert np.array_equal(left, c.T)
-        naive = naive_state_quadratic(data, target, denom, delta, dim)
+        naive = naive_state_quadratic(data, target, denom, lambda x, y: float(x == y), dim)
         np.testing.assert_allclose(qf.scale * qf.matrix, naive, rtol=0,
                                    atol=1e-12 * np.abs(naive).max())
 
