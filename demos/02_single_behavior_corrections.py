@@ -32,8 +32,8 @@ print(f"true average reward of the target policy: {truth:.4f}")
 
 rows = []
 for seed in range(SEEDS):
-    trajs = sample_trajectories(mdp, [SampleGroup(behavior, 100, seed)], 200)
-    data = TransitionDataset.from_trajectories(trajs)
+    data = TransitionDataset.concatenate(
+        sample_trajectories(mdp, [SampleGroup(behavior, 100, seed)], 200))
 
     omega_aware = learn_bch(data, target, behavior, solver=solver)
     est_aware = ratio_reward_estimate(data, omega_aware, target, behavior)

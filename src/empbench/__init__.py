@@ -22,7 +22,7 @@ from .harness import (METHOD_NAMES, STATE_METHODS, ExperimentConfig, InvalidConf
                       emit_csv, load_config, parse_config, read_records_csv, run_experiment,
                       run_method, summarize_mse, summarize_tv, tv_distance)
 from .mdp import (MissingLabel, NonErgodicChain, SampleGroup, StateDistribution, TabularMDP,
-                  TabularPolicy, Trajectory, TransitionDataset, average_reward,
+                  TabularPolicy, TransitionDataset, average_reward,
                   greedy_policy, population_dataset, sample_trajectories,
                   soften_policy, stationary_distribution, train_q_learning_policy,
                   uniform_policy)
@@ -36,7 +36,7 @@ __all__ = [
     "HeuristicTable", "InvalidConfig", "KernelSpec", "METHOD_NAMES", "MissingLabel",
     "NonErgodicChain", "PolicySpec", "QuadraticForm", "ResultRecord", "STATE_METHODS",
     "SampleGroup", "SolverParams", "StateActionCorrection", "StateDistribution", "StateMethod",
-    "SummaryRow", "TabularMDP", "TabularPolicy", "Trajectory", "TransitionDataset",
+    "SummaryRow", "TabularMDP", "TabularPolicy", "TransitionDataset",
     "UnknownMethod", "WeightVector",
     "assemble_state_action_quadratic", "assemble_state_quadratic", "average_reward",
     "balanced_heuristic", "build_environment", "build_gridworld", "build_singlepath",

@@ -114,9 +114,9 @@ def stepwise_wis_estimate(data: TransitionDataset, target: TabularPolicy, behavi
     :func:`importance_ratios` (each label picks its behavior) from the first
     record of its trajectory up to it; the estimate is the weighted average
     reward.  Each trajectory's records must be contiguous, in step order and
-    chained (sp[i] == s[i+1]), as :meth:`TransitionDataset.from_trajectories`
-    lays them out.  Products are accumulated in log space so long horizons
-    cannot overflow.
+    chained (sp[i] == s[i+1]), as :func:`sample_trajectories` lays them out
+    and :meth:`TransitionDataset.concatenate` keeps them.  Products are
+    accumulated in log space so long horizons cannot overflow.
     """
     if len(data) == 0:
         raise ValueError("dataset must be nonempty")

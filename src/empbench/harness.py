@@ -243,7 +243,7 @@ def generate_cell_data(mdp, behaviors, num_traj: int, horizon: int, data_seed: i
     groups = [SampleGroup(policy, num_traj // m + (1 if j < num_traj % m else 0),
                           _derive_seed(data_seed, j), j)
               for j, policy in enumerate(behaviors)]
-    return TransitionDataset.from_trajectories(sample_trajectories(mdp, groups, horizon))
+    return TransitionDataset.concatenate(sample_trajectories(mdp, groups, horizon))
 
 
 def _kl_reweighted(spec: StateMethod, data: TransitionDataset, target, behaviors):
@@ -262,7 +262,7 @@ def _kl_reweighted(spec: StateMethod, data: TransitionDataset, target, behaviors
     group_w /= group_w.sum()
     factor = np.zeros(int(present.max()) + 1)
     factor[present] = kl_weights.weights / group_w
-    return data.with_weights(data.weights * factor[labels])
+    return replace(data, weights=data.weights * factor[labels])
 
 
 def _assemble_state_method(spec: StateMethod, target, behaviors, data: TransitionDataset,

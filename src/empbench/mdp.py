@@ -7,7 +7,7 @@ an explicit integer seed so experiments are bit-reproducible.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
@@ -158,39 +158,13 @@ class StateDistribution:
 
 
 @dataclass
-class Trajectory:
-    """One rollout: parallel arrays of (state, action, reward, next_state)
-    plus the index of the behavior policy that generated it."""
-
-    states: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    next_states: np.ndarray
-    policy_label: int = 0
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=np.int64)
-        self.actions = np.asarray(self.actions, dtype=np.int64)
-        self.rewards = np.asarray(self.rewards, dtype=np.float64)
-        self.next_states = np.asarray(self.next_states, dtype=np.int64)
-        n = len(self.states)
-        if not (len(self.actions) == len(self.rewards) == len(self.next_states) == n):
-            raise ValueError("trajectory arrays must have equal length")
-        if n > 1 and not np.array_equal(self.next_states[:-1], self.states[1:]):
-            raise ValueError("steps must chain: next_state[t] == state[t+1]")
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-
-@dataclass
 class TransitionDataset:
     """Flat collection of logged transitions.
 
     Columns: state s, action a, next state sp, reward r, an optional
     behavior-policy label per record, a nonnegative sample weight
     (default 1), and an optional index of the trajectory each record came
-    from (filled by :meth:`from_trajectories`).  Weighted records let
+    from (filled by :func:`sample_trajectories`).  Weighted records let
     population-level expectations be represented exactly, see
     :func:`population_dataset`.
     """
@@ -241,19 +215,31 @@ class TransitionDataset:
         columns = (getattr(self, f.name) for f in fields(self))
         return TransitionDataset(*(None if c is None else c[mask] for c in columns))
 
-    def with_weights(self, weights: np.ndarray) -> "TransitionDataset":
-        return replace(self, weights=weights)
-
     @classmethod
-    def from_trajectories(cls, trajectories) -> "TransitionDataset":
-        s = np.concatenate([t.states for t in trajectories])
-        a = np.concatenate([t.actions for t in trajectories])
-        sp = np.concatenate([t.next_states for t in trajectories])
-        r = np.concatenate([t.rewards for t in trajectories])
-        lengths = [len(t) for t in trajectories]
-        labels = np.repeat([t.policy_label for t in trajectories], lengths)
-        ids = np.repeat(np.arange(len(lengths)), lengths)
-        return cls(s, a, sp, r, labels, trajectory_ids=ids)
+    def concatenate(cls, parts) -> "TransitionDataset":
+        """The records of ``parts``, one part after another.  Each part's
+        trajectory ids (nonnegative, as :func:`sample_trajectories` numbers
+        them) are shifted past the largest id of the parts before it, so the
+        trajectories of different parts never merge.  An optional column must
+        be set in every part or in none; no parts give an empty dataset."""
+        parts = list(parts)
+        if not parts:
+            return cls([], [], [], [])
+        columns = {}
+        for f in fields(cls):
+            values = [getattr(part, f.name) for part in parts]
+            if all(v is None for v in values):
+                columns[f.name] = None
+            elif any(v is None for v in values):
+                raise ValueError(f"{f.name} must be set in every part or in none")
+            else:
+                columns[f.name] = values
+        ids = columns["trajectory_ids"]
+        if ids is not None:
+            offsets = np.cumsum([0] + [part.max() + 1 if len(part) else 0 for part in ids])
+            columns["trajectory_ids"] = [part + offset for part, offset in zip(ids, offsets)]
+        return cls(**{name: None if values is None else np.concatenate(values)
+                      for name, values in columns.items()})
 
 
 def chain_matrix(mdp: TabularMDP, policy: TabularPolicy) -> sparse.csr_matrix:
@@ -389,10 +375,12 @@ class SampleGroup(NamedTuple):
     label: int = 0
 
 
-def sample_trajectories(mdp: TabularMDP, groups, horizon: int) -> list[Trajectory]:
+def sample_trajectories(mdp: TabularMDP, groups, horizon: int) -> list[TransitionDataset]:
     """Simulate rollouts of exactly ``horizon`` steps for each of ``groups``
-    (:class:`SampleGroup` or equal tuples), returned group after group.
+    (:class:`SampleGroup` or equal tuples) and return one dataset per group.
 
+    A group's dataset holds its rollouts one after another, each in step
+    order, labeled with the group's label, with trajectory ids 0..n-1.
     Every trajectory starts from the MDP's initial distribution.  Identical
     seeds produce bit-identical output.  Each trajectory consumes 1 + 2 *
     horizon uniforms from its group's generator in the order (initial state,
@@ -407,9 +395,10 @@ def sample_trajectories(mdp: TabularMDP, groups, horizon: int) -> list[Trajector
         raise ValueError("horizon must be >= 1 and num_traj >= 0")
     if any(group.policy.probs.shape != (num_states, num_actions) for group in groups):
         raise ValueError(f"every policy must be ({num_states}, {num_actions})")
-    group_of = np.repeat(np.arange(len(groups)), [group.num_traj for group in groups])
-    if not len(group_of):
+    if not groups:
         return []
+    counts = [group.num_traj for group in groups]
+    group_of = np.repeat(np.arange(len(groups)), counts)
     rngs = [np.random.default_rng(group.seed) for group in groups]
     # group g's action row for state s is row g * S + s
     act_cum, act_cols, _ = support_cdf_table(np.concatenate([g.policy.probs for g in groups]))
@@ -417,28 +406,30 @@ def sample_trajectories(mdp: TabularMDP, groups, horizon: int) -> list[Trajector
     init_cdf = np.cumsum(mdp.initial_dist)
     width = 1 + 2 * horizon
     block = max(1, _UNIFORM_BUFFER // width)
-    out = []
+    # time-major: column i of paths is rollout i's states, ending with its last next state
+    paths = np.empty((horizon + 1, len(group_of)), dtype=np.int64)
+    actions = np.empty((horizon, len(group_of)), dtype=np.int64)
     for first in range(0, len(group_of), block):
         which = group_of[first:first + block]
+        path, acts = paths[:, first:first + block], actions[:, first:first + block]
         u = np.empty((len(which), width))
         ends = np.cumsum(np.bincount(which, minlength=len(groups))).tolist()
         for rng, start, end in zip(rngs, [0] + ends, ends):
             rng.random(out=u[start:end])  # the group's next rows, in stream order
         act_rows = which * num_states
-        path = [np.minimum(np.searchsorted(init_cdf, u[:, 0], side="right"), num_states - 1)]
-        actions = []
+        path[0] = np.minimum(np.searchsorted(init_cdf, u[:, 0], side="right"), num_states - 1)
         for t in range(horizon):
-            s = path[-1]
-            a = _draw(act_cum, act_cols, act_rows + s, u[:, 1 + 2 * t])
-            actions.append(a)
-            path.append(_draw(next_cum, next_cols, s * num_actions + a, u[:, 2 + 2 * t]))
-        path, actions = np.stack(path, axis=1), np.stack(actions, axis=1)
-        states, nexts = path[:, :-1], path[:, 1:].copy()
-        rewards = mdp.reward[states, actions]
-        out.extend(Trajectory(states[i], actions[i], rewards[i], nexts[i],
-                              policy_label=groups[g].label)
-                   for i, g in enumerate(which.tolist()))
-    return out
+            s = path[t]
+            acts[t] = _draw(act_cum, act_cols, act_rows + s, u[:, 1 + 2 * t])
+            path[t + 1] = _draw(next_cum, next_cols, s * num_actions + acts[t], u[:, 2 + 2 * t])
+    states, nexts, actions = paths[:-1].T, paths[1:].T, actions.T
+    rewards = mdp.reward[states, actions]
+    group_ends = np.cumsum(counts).tolist()
+    return [TransitionDataset(states[lo:hi].ravel(), actions[lo:hi].ravel(),
+                              nexts[lo:hi].ravel(), rewards[lo:hi].ravel(),
+                              np.full((hi - lo) * horizon, group.label),
+                              trajectory_ids=np.repeat(np.arange(hi - lo), horizon))
+            for group, lo, hi in zip(groups, [0] + group_ends, group_ends)]
 
 
 # the valid range of each Q-learning parameter: (test, description)
@@ -605,18 +596,12 @@ def population_dataset(mdp: TabularMDP, behaviors, weights=None) -> TransitionDa
     rows = mdp.transition_rows
     # row s * A + a of each stored entry; the entries run in (s, a, s') order
     entry_row = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
-    cols_s, cols_a, cols_sp, cols_r, cols_l, cols_w = [], [], [], [], [], []
+    parts = []
     for j, pol in enumerate(behaviors):
         d = stationary_distribution(mdp, pol).probs
         joint = (weights[j] * d[:, None] * pol.probs).ravel()[entry_row] * rows.data
         keep = joint != 0
         s_idx, a_idx = np.divmod(entry_row[keep], num_actions)
-        cols_s.append(s_idx)
-        cols_a.append(a_idx)
-        cols_sp.append(rows.indices[keep])
-        cols_r.append(mdp.reward[s_idx, a_idx])
-        cols_l.append(np.full(len(s_idx), j, dtype=np.int64))
-        cols_w.append(joint[keep])
-    return TransitionDataset(np.concatenate(cols_s), np.concatenate(cols_a),
-                             np.concatenate(cols_sp), np.concatenate(cols_r),
-                             np.concatenate(cols_l), np.concatenate(cols_w))
+        parts.append(TransitionDataset(s_idx, a_idx, rows.indices[keep], mdp.reward[s_idx, a_idx],
+                                       np.full(len(s_idx), j), joint[keep]))
+    return TransitionDataset.concatenate(parts)

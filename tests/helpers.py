@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import scipy.sparse as sparse
 
-from empbench import (StateDistribution, TabularMDP, TabularPolicy, Trajectory, importance_ratios,
-                      stationary_distribution)
+from empbench import (StateDistribution, TabularMDP, TabularPolicy, TransitionDataset,
+                      importance_ratios, stationary_distribution)
 from empbench.mdp import chain_matrix
 
 
@@ -115,26 +115,28 @@ def reference_sample_trajectories(mdp, policy, num_traj, horizon, seed, label=0)
     """Frozen copy of the original per-step sampler: one scalar uniform for
     each trajectory's initial state, then one for the action and one for the
     next state per step, each drawn from the dense row's cumulative sums.
-    Oracle for the lockstep sampler, which must reproduce it bit for bit."""
+    Returns the rollouts one after another as one dataset labeled ``label``
+    with trajectory ids 0..num_traj-1.  Oracle for the lockstep sampler,
+    which must reproduce it bit for bit."""
     rng = np.random.default_rng(seed)
     actions_cdf, next_cdf = {}, {}
     transition = mdp.transition  # dense, built on each access
     init_cdf = np.cumsum(mdp.initial_dist)
-    out = []
-    for _ in range(num_traj):
+    size = num_traj * horizon
+    states = np.empty(size, dtype=np.int64)
+    actions = np.empty(size, dtype=np.int64)
+    rewards = np.empty(size, dtype=np.float64)
+    nexts = np.empty(size, dtype=np.int64)
+    for i in range(num_traj):
         s = min(int(np.searchsorted(init_cdf, rng.random(), side="right")),
                 mdp.num_states - 1)
-        states = np.empty(horizon, dtype=np.int64)
-        actions = np.empty(horizon, dtype=np.int64)
-        rewards = np.empty(horizon, dtype=np.float64)
-        nexts = np.empty(horizon, dtype=np.int64)
-        for t in range(horizon):
+        for t in range(i * horizon, (i + 1) * horizon):
             a = _reference_draw(actions_cdf, policy.probs, s, rng)
             sp = _reference_draw(next_cdf, transition, (s, a), rng)
             states[t], actions[t], rewards[t], nexts[t] = s, a, mdp.reward[s, a], sp
             s = sp
-        out.append(Trajectory(states, actions, rewards, nexts, policy_label=label))
-    return out
+    return TransitionDataset(states, actions, nexts, rewards, np.full(size, label),
+                             trajectory_ids=np.repeat(np.arange(num_traj), horizon))
 
 
 def reference_q_table(mdp, episodes, epsilon, alpha, gamma, seed, steps_per_episode=100):

@@ -77,8 +77,8 @@ def taxi_wis_horizon_mse():
         errors = []
         for seed in range(200):
             group = SampleGroup(behavior, 200, _derive_seed(0, 2, 200, horizon, seed))
-            trajs = sample_trajectories(mdp, [group], horizon)
-            est = stepwise_wis_estimate(TransitionDataset.from_trajectories(trajs),
+            parts = sample_trajectories(mdp, [group], horizon)
+            est = stepwise_wis_estimate(TransitionDataset.concatenate(parts),
                                         target, [behavior])
             errors.append((est - truth) ** 2)
         mses[horizon] = float(np.mean(errors))
@@ -157,9 +157,9 @@ def test_criterion_3_on_policy_identity():
     mdp = build_singlepath()
     behavior = SINGLEPATH_B1
     num_traj, horizon = 100, 1000
-    trajs = sample_trajectories(stationary_start(mdp, behavior),
-                                [SampleGroup(behavior, num_traj, 103)], horizon)
-    data = TransitionDataset.from_trajectories(trajs)
+    data = TransitionDataset.concatenate(
+        sample_trajectories(stationary_start(mdp, behavior),
+                            [SampleGroup(behavior, num_traj, 103)], horizon))
     omega = learn_emp(data, behavior)
     visits = np.bincount(data.s, minlength=5)
     omega_err = float(np.abs(omega.values[visits >= 200] - 1.0).max())
@@ -210,8 +210,8 @@ def test_criterion_5_single_behavior_mse_ordering(taxi_sweep, gridworld_single_s
 def test_criterion_6_balanced_heuristic_collapses_to_pooled_form():
     mdp = build_singlepath()
     b1, b2, target = SINGLEPATH_B1, SINGLEPATH_B2, SINGLEPATH_TARGET
-    trajs = sample_trajectories(mdp, [SampleGroup(b1, 6, 106, 0), SampleGroup(b2, 6, 107, 1)], 40)
-    data = TransitionDataset.from_trajectories(trajs)
+    data = TransitionDataset.concatenate(
+        sample_trajectories(mdp, [SampleGroup(b1, 6, 106, 0), SampleGroup(b2, 6, 107, 1)], 40))
     d1 = stationary_distribution(mdp, b1)
     d2 = stationary_distribution(mdp, b2)
     d_pi = stationary_distribution(mdp, target).probs
@@ -244,9 +244,9 @@ def test_criterion_7_mis_unbiasedness():
     mdp2 = stationary_start(mdp, b2)
     estimates = []
     for seed in range(200):
-        trajs = sample_trajectories(mdp1, [SampleGroup(b1, 10, 2 * seed, 0)], 100)
-        trajs += sample_trajectories(mdp2, [SampleGroup(b2, 10, 2 * seed + 1, 1)], 100)
-        data = TransitionDataset.from_trajectories(trajs)
+        parts = sample_trajectories(mdp1, [SampleGroup(b1, 10, 2 * seed, 0)], 100)
+        parts += sample_trajectories(mdp2, [SampleGroup(b2, 10, 2 * seed + 1, 1)], 100)
+        data = TransitionDataset.concatenate(parts)
         estimates.append(mis_reward_estimate(data, omegas, [b1, b2], target, heur))
     estimates = np.asarray(estimates)
     se = float(estimates.std(ddof=1) / np.sqrt(len(estimates)))

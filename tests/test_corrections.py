@@ -578,9 +578,9 @@ def singlepath_policies():
 class TestLearnBch:
     def test_on_policy_correction_is_one(self, singlepath_policies):
         mdp, behavior, _, _ = singlepath_policies
-        trajs = sample_trajectories(stationary_start(mdp, behavior),
-                                    [SampleGroup(behavior, 100, 0)], 1000)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(stationary_start(mdp, behavior),
+                                [SampleGroup(behavior, 100, 0)], 1000))
         omega = learn_bch(data, behavior, behavior)
         visits = np.bincount(data.s, minlength=5)
         assert np.abs(omega.values[visits >= 200] - 1.0).max() <= 0.05
@@ -626,8 +626,8 @@ class TestLearnBch:
 
     def test_normalization_and_nonnegativity(self, singlepath_policies):
         mdp, behavior, _, target = singlepath_policies
-        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 20, 1)], 50)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(behavior, 20, 1)], 50))
         omega = learn_bch(data, target, behavior)
         assert np.all(omega.values >= 0)
         assert omega.reference_dist.probs @ omega.values == pytest.approx(1.0, abs=1e-6)
@@ -638,17 +638,16 @@ class TestLearnBchPooled:
 
     def test_single_label_bit_identical_to_plain(self, singlepath_policies):
         mdp, behavior, _, target = singlepath_policies
-        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 30, 2)], 60)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(behavior, 30, 2)], 60))
         plain = learn_bch(data, target, behavior)
         pooled = learn_bch(data, target, [behavior])
         assert np.array_equal(plain.values, pooled.values)
 
     def test_identical_behaviors_match_plain(self, singlepath_policies):
         mdp, behavior, _, target = singlepath_policies
-        trajs = sample_trajectories(
-            mdp, [SampleGroup(behavior, 15, 3, 0), SampleGroup(behavior, 15, 4, 1)], 60)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(sample_trajectories(
+            mdp, [SampleGroup(behavior, 15, 3, 0), SampleGroup(behavior, 15, 4, 1)], 60))
         pooled = learn_bch(data, target, [behavior, behavior])
         plain = learn_bch(data, target, behavior)
         assert np.array_equal(pooled.values, plain.values)
@@ -681,19 +680,19 @@ class TestLearnBchPooled:
 class TestLearnEmp:
     def test_on_policy_correction_is_one(self, singlepath_policies):
         mdp, behavior, _, _ = singlepath_policies
-        trajs = sample_trajectories(stationary_start(mdp, behavior),
-                                    [SampleGroup(behavior, 100, 5)], 1000)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(stationary_start(mdp, behavior),
+                                [SampleGroup(behavior, 100, 5)], 1000))
         omega = learn_emp(data, behavior)
         visits = np.bincount(data.s, minlength=5)
         assert np.abs(omega.values[visits >= 200] - 1.0).max() <= 0.05
 
     def test_pooled_two_behaviors_recovers_target_distribution(self, singlepath_policies):
         mdp, b1, b2, target = singlepath_policies
-        trajs = sample_trajectories(stationary_start(mdp, b1),
+        parts = sample_trajectories(stationary_start(mdp, b1),
                                     [SampleGroup(b1, 50, 6, 0)], 1000)
-        trajs += sample_trajectories(stationary_start(mdp, b2), [SampleGroup(b2, 50, 7, 1)], 1000)
-        data = TransitionDataset.from_trajectories(trajs)
+        parts += sample_trajectories(stationary_start(mdp, b2), [SampleGroup(b2, 50, 7, 1)], 1000)
+        data = TransitionDataset.concatenate(parts)
         omega = learn_emp(data, target)
         d_target = stationary_distribution(mdp, target)
         assert tv_distance(omega.implied_distribution(), d_target) <= 0.05
@@ -702,9 +701,9 @@ class TestLearnEmp:
 class TestLearnSadl:
     def test_on_policy_correction_inverts_behavior(self, singlepath_policies):
         mdp, behavior, _, _ = singlepath_policies
-        trajs = sample_trajectories(stationary_start(mdp, behavior),
-                                    [SampleGroup(behavior, 100, 8)], 1000)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(stationary_start(mdp, behavior),
+                                [SampleGroup(behavior, 100, 8)], 1000))
         u = learn_sadl(data, behavior)
         product = u.values * behavior.probs
         visits = np.zeros((5, 2))
@@ -728,8 +727,8 @@ class TestLearnSadl:
 
     def test_invariants(self, singlepath_policies):
         mdp, behavior, _, target = singlepath_policies
-        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 30, 9)], 100)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(behavior, 30, 9)], 100))
         u = learn_sadl(data, target)
         assert np.all(u.values >= 0)
         assert np.sum(u.reference * u.values) == pytest.approx(1.0, abs=1e-6)

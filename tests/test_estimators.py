@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -42,15 +44,15 @@ def oracle_correction(mdp, target, behavior, data, num_states):
 class TestRatioRewardEstimate:
     def test_unit_correction_on_policy_is_mean_reward(self, singlepath_setup):
         mdp, behavior, _, _ = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 10, 0)], 50)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(behavior, 10, 0)], 50))
         est = ratio_reward_estimate(data, unit_correction(data, 5), behavior, behavior)
         assert est == pytest.approx(data.r.mean(), abs=1e-12)
 
     def test_zero_rewards_give_zero(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 5, 1)], 20)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(behavior, 5, 1)], 20))
         data = TransitionDataset(data.s, data.a, data.sp, np.zeros(len(data)),
                                  data.labels, data.weights)
         est = ratio_reward_estimate(data, unit_correction(data, 5), target, behavior)
@@ -61,9 +63,9 @@ class TestRatioRewardEstimate:
         # per-trajectory means are unbiased for the target's average reward
         mdp, behavior, _, target = singlepath_setup
         num_traj, horizon = 500, 200
-        trajs = sample_trajectories(stationary_start(mdp, behavior),
-                                    [SampleGroup(behavior, num_traj, 2)], horizon)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(stationary_start(mdp, behavior),
+                                [SampleGroup(behavior, num_traj, 2)], horizon))
         omega = oracle_correction(mdp, target, behavior, data, 5)
         # undo the empirical renormalization: use the exact ratio as-is
         ratio = (stationary_distribution(mdp, target).probs
@@ -82,18 +84,18 @@ class TestRatioRewardEstimate:
 
     def test_invariant_to_uniform_weight_rescaling(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 10, 3)], 30)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(behavior, 10, 3)], 30))
         omega = unit_correction(data, 5)
         base = ratio_reward_estimate(data, omega, target, behavior)
-        scaled = data.with_weights(data.weights * 3.7)
+        scaled = replace(data, weights=data.weights * 3.7)
         assert ratio_reward_estimate(scaled, omega, target, behavior) == \
             pytest.approx(base, rel=1e-12)
 
     def test_per_label_denominators(self, singlepath_setup):
         mdp, b1, b2, target = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(b1, 5, 4, 0), SampleGroup(b2, 5, 5, 1)], 20)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(b1, 5, 4, 0), SampleGroup(b2, 5, 5, 1)], 20))
         omega = unit_correction(data, 5)
         est = ratio_reward_estimate(data, omega, target, [b1, b2])
         stacked = np.stack([b1.probs, b2.probs])
@@ -105,8 +107,8 @@ class TestRatioRewardEstimate:
 class TestSadlRewardEstimate:
     def test_inverse_behavior_collapses_to_mean_reward(self, singlepath_setup):
         mdp, behavior, _, _ = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 10, 6)], 50)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(behavior, 10, 6)], 50))
         values = 1.0 / behavior.probs
         freq = np.zeros((5, 2))
         np.add.at(freq, (data.s, data.a), data.weights)
@@ -121,9 +123,9 @@ class TestSadlRewardEstimate:
     def test_oracle_correction_within_three_standard_errors(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
         num_traj, horizon = 500, 200
-        trajs = sample_trajectories(stationary_start(mdp, behavior),
-                                    [SampleGroup(behavior, num_traj, 7)], horizon)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(stationary_start(mdp, behavior),
+                                [SampleGroup(behavior, num_traj, 7)], horizon))
         d_pi = stationary_distribution(mdp, target).probs
         d_b = stationary_distribution(mdp, behavior).probs
         u_true = d_pi[:, None] / (d_b[:, None] * behavior.probs)
@@ -178,8 +180,8 @@ class TestBalancedHeuristic:
 class TestMisRewardEstimate:
     def test_single_policy_collapses_to_ratio_estimate(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 10, 8)], 50)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(behavior, 10, 8)], 50))
         omega = unit_correction(data, 5)
         h = HeuristicTable(np.ones((1, 5)))
         mis = mis_reward_estimate(data, [omega], [behavior], target, h)
@@ -188,8 +190,8 @@ class TestMisRewardEstimate:
 
     def test_all_mass_on_first_policy_uses_only_its_terms(self, singlepath_setup):
         mdp, b1, b2, target = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(b1, 4, 9, 0), SampleGroup(b2, 4, 10, 1)], 25)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(b1, 4, 9, 0), SampleGroup(b2, 4, 10, 1)], 25))
         omega = unit_correction(data, 5)
         h = HeuristicTable(np.vstack([np.ones(5), np.zeros(5)]))
         est = mis_reward_estimate(data, [omega, omega], [b1, b2], target, h)
@@ -211,7 +213,7 @@ class TestMisRewardEstimate:
         # one correction and one behavior: a reward-100 record labelled
         # outside them must not be dropped from the estimate unnoticed
         mdp, behavior, _, target = singlepath_setup
-        data = TransitionDataset.from_trajectories(
+        data = TransitionDataset.concatenate(
             sample_trajectories(mdp, [SampleGroup(behavior, 3, 19)], 20))
         data = TransitionDataset(np.append(data.s, 0), np.append(data.a, 0),
                                  np.append(data.sp, 1), np.append(data.r, 100.0),
@@ -222,7 +224,7 @@ class TestMisRewardEstimate:
 
     def test_unequal_correction_and_behavior_lists_raise(self, singlepath_setup):
         mdp, b1, b2, target = singlepath_setup
-        data = TransitionDataset.from_trajectories(
+        data = TransitionDataset.concatenate(
             sample_trajectories(mdp, [SampleGroup(b1, 3, 20)], 20))
         h = HeuristicTable(np.vstack([np.ones(5), np.zeros(5)]))
         with pytest.raises(ValueError):
@@ -233,8 +235,8 @@ class TestMisRewardEstimate:
         # balanced heuristic reduce algebraically to the pooled form
         # sum_i omega(s_i) pi/pi_{j_i} r_i / N
         mdp, b1, b2, target = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(b1, 6, 11, 0), SampleGroup(b2, 6, 12, 1)], 40)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(b1, 6, 11, 0), SampleGroup(b2, 6, 12, 1)], 40))
         d1 = stationary_distribution(mdp, b1)
         d2 = stationary_distribution(mdp, b2)
         d_pi = stationary_distribution(mdp, target).probs
@@ -262,41 +264,38 @@ class TestMisRewardEstimate:
 class TestStepwiseWis:
     def test_on_policy_is_plain_mean(self, singlepath_setup):
         mdp, behavior, _, _ = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 8, 13)], 30)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(behavior, 8, 13)], 30))
         est = stepwise_wis_estimate(data, behavior, [behavior])
-        rewards = np.concatenate([t.rewards for t in trajs])
-        assert est == pytest.approx(rewards.mean(), rel=1e-12)
+        assert est == pytest.approx(data.r.mean(), rel=1e-12)
 
     def test_on_policy_is_the_weighted_mean_reward(self, singlepath_setup):
         mdp, behavior, _, _ = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 8, 13)], 30)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(behavior, 8, 13)], 30))
         weights = np.random.default_rng(0).uniform(0.1, 2.0, len(data))
-        est = stepwise_wis_estimate(data.with_weights(weights), behavior, [behavior])
+        est = stepwise_wis_estimate(replace(data, weights=weights), behavior, [behavior])
         assert est == pytest.approx(np.average(data.r, weights=weights), rel=1e-12)
 
     def test_single_trajectory_is_weighted_mean(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        (traj,) = sample_trajectories(mdp, [SampleGroup(behavior, 1, 14)], 20)
-        data = TransitionDataset.from_trajectories([traj])
+        (data,) = sample_trajectories(mdp, [SampleGroup(behavior, 1, 14)], 20)
         est = stepwise_wis_estimate(data, target, [behavior])
-        rho = target.probs[traj.states, traj.actions] / behavior.probs[traj.states, traj.actions]
+        rho = target.probs[data.s, data.a] / behavior.probs[data.s, data.a]
         w = np.cumprod(rho)
-        assert est == pytest.approx(float((w * traj.rewards).sum() / w.sum()), rel=1e-10)
+        assert est == pytest.approx(float((w * data.r).sum() / w.sum()), rel=1e-10)
 
     def test_value_within_reward_range(self, singlepath_setup):
         mdp, b1, b2, target = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(b1, 5, 15, 0), SampleGroup(b2, 5, 16, 1)], 60)
-        est = stepwise_wis_estimate(TransitionDataset.from_trajectories(trajs), target,
-                                    [b1, b2])
-        rewards = np.concatenate([t.rewards for t in trajs])
-        assert rewards.min() <= est <= rewards.max()
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(b1, 5, 15, 0), SampleGroup(b2, 5, 16, 1)], 60))
+        est = stepwise_wis_estimate(data, target, [b1, b2])
+        assert data.r.min() <= est <= data.r.max()
 
     def test_long_horizon_does_not_overflow(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 3, 17)], 5000)
-        est = stepwise_wis_estimate(TransitionDataset.from_trajectories(trajs), target,
+        parts = sample_trajectories(mdp, [SampleGroup(behavior, 3, 17)], 5000)
+        est = stepwise_wis_estimate(TransitionDataset.concatenate(parts), target,
                                     [behavior])
         assert np.isfinite(est)
 
@@ -304,8 +303,8 @@ class TestStepwiseWis:
     def test_label_outside_the_behaviors_raises(self, singlepath_setup, label):
         # label -1 used to pick the last behavior silently
         mdp, b1, b2, target = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(b1, 2, 18, label)], 20)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(b1, 2, 18, label)], 20))
         with pytest.raises(ValueError, match="labels must index"):
             stepwise_wis_estimate(data, target, [b1, b2])
 
@@ -313,7 +312,7 @@ class TestStepwiseWis:
         # the ids of the kept records stay contiguous, but a trajectory whose
         # state-2 steps are gone would chain ratios across the gaps
         mdp, behavior, _, target = singlepath_setup
-        data = TransitionDataset.from_trajectories(
+        data = TransitionDataset.concatenate(
             sample_trajectories(mdp, [SampleGroup(behavior, 2, 19)], 20))
         kept = data.subset(data.s != 2)
         assert 0 < len(kept) < len(data)
@@ -322,8 +321,8 @@ class TestStepwiseWis:
 
     def test_missing_trajectory_ids_raise(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 2, 19)], 20)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(behavior, 2, 19)], 20))
         unindexed = TransitionDataset(data.s, data.a, data.sp, data.r, data.labels)
         with pytest.raises(ValueError, match="trajectory ids"):
             stepwise_wis_estimate(unindexed, target, [behavior])
@@ -331,8 +330,8 @@ class TestStepwiseWis:
     def test_split_trajectory_raises(self, singlepath_setup):
         # trajectory 0's records on both sides of trajectory 1's
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 2, 19)], 20)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(behavior, 2, 19)], 20))
         order = np.r_[0:10, 20:40, 10:20]
         with pytest.raises(ValueError, match="contiguous"):
             stepwise_wis_estimate(data.subset(order), target, [behavior])
@@ -347,8 +346,8 @@ def run_state_method(method, target, behaviors, data):
 class TestEmpSingle:
     def test_single_label_matches_pooled_pipeline(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 20, 18)], 60)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(behavior, 20, 18)], 60))
         single = run_state_method("emp-single", target, [behavior], data)
         omega = learn_emp(data, target)
         pi_hat = estimate_policy_mle(data, 5, 2)
@@ -365,8 +364,8 @@ class TestEmpSingle:
 class TestKlEmp:
     def test_single_label_matches_plain_emp(self, singlepath_setup):
         mdp, behavior, _, target = singlepath_setup
-        trajs = sample_trajectories(mdp, [SampleGroup(behavior, 20, 19)], 60)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(behavior, 20, 19)], 60))
         kl_est = run_state_method("kl-emp", target, [behavior], data)
         omega = learn_emp(data, target)
         pi_hat = estimate_policy_mle(data, 5, 2)
@@ -381,9 +380,8 @@ class TestKlEmp:
         estimated = [behavior, behavior]
         w = compute_kl_weights(target, estimated, states=[0, 1, 2, 3, 4])
         np.testing.assert_array_equal(w.weights, [1.0, 0.0])
-        trajs = sample_trajectories(
-            mdp, [SampleGroup(behavior, 10, 20, 0), SampleGroup(behavior, 10, 21, 1)], 50)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(sample_trajectories(
+            mdp, [SampleGroup(behavior, 10, 20, 0), SampleGroup(behavior, 10, 21, 1)], 50))
         # runs end to end; label-1 records end up with zero weight
         est = run_state_method("kl-emp", target, [behavior, behavior], data)
         assert np.isfinite(est)

@@ -314,7 +314,7 @@ class TestRunMethod:
         rng = np.random.default_rng(seed)
         mdp = random_mdp(rng, num_states, num_actions)
         behavior = random_soft_policy(rng, num_states, num_actions)
-        data = TransitionDataset.from_trajectories(
+        data = TransitionDataset.concatenate(
             sample_trajectories(mdp, [SampleGroup(behavior, 3, seed)], 30))
         est, _ = run_method(method, behavior, [behavior], data, KernelSpec.state_delta(),
                             SolverParams())
@@ -350,7 +350,7 @@ class TestRunMethod:
         data = generate_cell_data(mdp, behaviors, num_traj, 40, data_seed)
         kernel, solver = KernelSpec.state_delta(), SolverParams(iters=2000)
         est, dist = run_method(method, target, behaviors, data, kernel, solver)
-        doubled = data.with_weights(2.0 * data.weights)
+        doubled = replace(data, weights=2.0 * data.weights)
         est2, dist2 = run_method(method, target, behaviors, doubled, kernel, solver)
         assert est2 == est
         assert (dist is None) == (dist2 is None)

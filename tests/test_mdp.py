@@ -1,4 +1,5 @@
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from empbench import (CorrectionVector, HeuristicTable, KernelSpec, NonErgodicChain,
                       QuadraticForm, SampleGroup, StateActionCorrection, StateDistribution,
-                      TabularMDP, TabularPolicy, Trajectory, TransitionDataset, WeightVector,
+                      TabularMDP, TabularPolicy, TransitionDataset, WeightVector,
                       assemble_state_action_quadratic, average_reward, build_gridworld,
                       build_singlepath, build_taxi, greedy_policy, population_dataset,
                       sample_trajectories, soften_policy, solve_normalized_quadratic,
-                      stationary_distribution, train_q_learning_policy, uniform_policy)
+                      stationary_distribution, stepwise_wis_estimate, train_q_learning_policy,
+                      uniform_policy)
 from empbench import mdp as mdp_module
 from empbench.mdp import (_bounded_draw, _draw, _q_learning_table, chain_matrix,
                           support_cdf_table)
@@ -24,12 +26,15 @@ from helpers import (random_mdp, random_policy, random_soft_policy, reference_ch
 
 
 def assert_same_trajectories(actual, expected):
+    """Equal lists of datasets: every column, ``labels`` and
+    ``trajectory_ids`` included, equal and of the same dtype."""
     assert len(actual) == len(expected)
     for a, e in zip(actual, expected):
-        for name in ("states", "actions", "rewards", "next_states"):
-            x, y = getattr(a, name), getattr(e, name)
-            assert x.dtype == y.dtype and np.array_equal(x, y), name
-        assert a.policy_label == e.policy_label
+        for column in fields(TransitionDataset):
+            x, y = getattr(a, column.name), getattr(e, column.name)
+            assert (x is None) == (y is None), column.name
+            if x is not None:
+                assert x.dtype == y.dtype and np.array_equal(x, y), column.name
 
 
 def small_mdps():
@@ -48,11 +53,6 @@ class TestValidation:
     def test_policy_rows_must_be_stochastic(self):
         with pytest.raises(ValueError):
             TabularPolicy(np.array([[0.5, 0.3], [0.5, 0.5]]))
-
-    def test_trajectory_steps_must_chain(self):
-        with pytest.raises(ValueError):
-            Trajectory(states=[0, 2], actions=[0, 0], rewards=[0.0, 0.0],
-                       next_states=[1, 0])
 
     def test_dataset_label_counts(self):
         data = TransitionDataset(s=[0, 1, 0], a=[0, 0, 1], sp=[1, 0, 0],
@@ -348,26 +348,47 @@ class TestAverageReward:
 class TestSampling:
     def test_shape(self):
         mdp = build_singlepath()
-        trajs = sample_trajectories(mdp, [SampleGroup(uniform_policy(5, 2), 3, 0)], 7)
-        assert len(trajs) == 3
-        assert all(len(t) == 7 for t in trajs)
+        (data,) = sample_trajectories(mdp, [SampleGroup(uniform_policy(5, 2), 3, 0, 4)], 7)
+        assert len(data) == 21
+        assert data.labels.tolist() == [4] * 21
+        assert data.trajectory_ids.tolist() == np.repeat([0, 1, 2], 7).tolist()
 
     def test_same_seed_is_bit_identical(self):
         mdp = build_gridworld()
         policy = uniform_policy(16, 4)
         a = sample_trajectories(mdp, [SampleGroup(policy, 4, 42)], 9)
         b = sample_trajectories(mdp, [SampleGroup(policy, 4, 42)], 9)
-        for ta, tb in zip(a, b):
-            assert np.array_equal(ta.states, tb.states)
-            assert np.array_equal(ta.actions, tb.actions)
-            assert np.array_equal(ta.rewards, tb.rewards)
+        assert_same_trajectories(a, b)
 
     def test_deterministic_rollout_is_unique(self):
         mdp = build_singlepath()
         always_advance = TabularPolicy(np.tile([1.0, 0.0], (5, 1)))
-        (traj,) = sample_trajectories(mdp, [SampleGroup(always_advance, 1, 5)], 6)
-        assert traj.states.tolist() == [0, 1, 2, 3, 4, 0]
-        assert traj.rewards.tolist() == [1.0] * 6
+        (data,) = sample_trajectories(mdp, [SampleGroup(always_advance, 1, 5)], 6)
+        assert data.s.tolist() == [0, 1, 2, 3, 4, 0]
+        assert data.r.tolist() == [1.0] * 6
+
+    @settings(max_examples=40, deadline=None)
+    @given(shares=st.lists(st.integers(0, 4), min_size=1, max_size=4),
+           horizon=st.integers(1, 12), buffer=st.sampled_from([1, 40, 1 << 19]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_trajectories_are_contiguous_chains_of_horizon_steps(self, shares, horizon,
+                                                                 buffer, seed):
+        # each group's dataset numbers its trajectories 0..n-1, gives each
+        # exactly `horizon` contiguous records and chains them: sp[i] == s[i+1]
+        rng = np.random.default_rng(seed)
+        mdp = random_mdp(rng, 5, 3)
+        groups = [SampleGroup(random_soft_policy(rng, 5, 3), n, seed + j, j)
+                  for j, n in enumerate(shares)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mdp_module, "_UNIFORM_BUFFER", buffer)
+            parts = sample_trajectories(mdp, groups, horizon)
+        assert len(parts) == len(groups)
+        for data, group in zip(parts, groups):
+            ids = data.trajectory_ids
+            assert np.array_equal(ids, np.repeat(np.arange(group.num_traj), horizon))
+            assert np.array_equal(data.labels, np.full(len(data), group.label))
+            same = ids[1:] == ids[:-1]
+            assert np.array_equal(data.sp[:-1][same], data.s[1:][same])
 
     def test_visit_frequencies_converge_to_stationary(self):
         mdp = build_singlepath()
@@ -376,11 +397,53 @@ class TestSampling:
         d = stationary_distribution(mdp, policy).probs
         tvs = []
         for seed in range(10):
-            trajs = sample_trajectories(mdp, [SampleGroup(policy, 100, seed)], 1000)
-            states = np.concatenate([t.states for t in trajs])
-            freq = np.bincount(states, minlength=5) / len(states)
+            (data,) = sample_trajectories(mdp, [SampleGroup(policy, 100, seed)], 1000)
+            freq = np.bincount(data.s, minlength=5) / len(data)
             tvs.append(0.5 * np.abs(freq - d).sum())
         assert np.mean(tvs) <= 0.02
+
+
+class TestConcatenate:
+    def test_two_calls_join_like_one_call(self):
+        # the second call's ids are shifted past the first's, so the joined
+        # data equals one call's and step-wise WIS reads it trajectory by
+        # trajectory; the columns appended as they are repeat ids 0..5
+        mdp = build_singlepath()
+        b1, b2 = uniform_policy(5, 2), TabularPolicy(np.tile([0.8, 0.2], (5, 1)))
+        groups = [SampleGroup(b1, 6, 3, 0), SampleGroup(b2, 6, 4, 1)]
+        one_call = TransitionDataset.concatenate(sample_trajectories(mdp, groups, 20))
+        parts = sample_trajectories(mdp, [groups[0]], 20) + sample_trajectories(mdp, [groups[1]], 20)
+        joined = TransitionDataset.concatenate(parts)
+        assert_same_trajectories([joined], [one_call])
+        assert joined.trajectory_ids.tolist() == np.repeat(np.arange(12), 20).tolist()
+        target = soften_policy(b2, 0.5)
+        assert (stepwise_wis_estimate(joined, target, [b1, b2])
+                == stepwise_wis_estimate(one_call, target, [b1, b2]))
+        appended = TransitionDataset(*(np.concatenate([getattr(part, c.name) for part in parts])
+                                       for c in fields(TransitionDataset)))
+        with pytest.raises(ValueError, match="contiguous"):
+            stepwise_wis_estimate(appended, target, [b1, b2])
+
+    def test_ids_shift_past_the_parts_before(self):
+        def part(ids):
+            n = len(ids)
+            return TransitionDataset(np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n),
+                                     trajectory_ids=ids)
+        joined = TransitionDataset.concatenate([part([0, 0, 1]), part([]), part([0, 1, 1]),
+                                                part([2])])
+        assert joined.trajectory_ids.tolist() == [0, 0, 1, 2, 3, 3, 6]
+        assert joined.labels is None
+        assert joined.trajectory_ids.dtype == np.int64
+
+    def test_optional_column_in_some_parts_raises(self):
+        labeled = TransitionDataset([0], [0], [1], [0.0], labels=[0])
+        unlabeled = TransitionDataset([0], [0], [1], [0.0])
+        with pytest.raises(ValueError, match="labels must be set in every part or in none"):
+            TransitionDataset.concatenate([labeled, unlabeled])
+
+    def test_no_parts_give_an_empty_dataset(self):
+        empty = TransitionDataset.concatenate([])
+        assert len(empty) == 0 and empty.labels is None and empty.trajectory_ids is None
 
 
 class TestSamplerMatchesPerStepReference:
@@ -394,14 +457,14 @@ class TestSamplerMatchesPerStepReference:
             policy = random_soft_policy(rng, mdp.num_states, mdp.num_actions)
             assert_same_trajectories(
                 sample_trajectories(mdp, [SampleGroup(policy, num_traj, k, k)], horizon),
-                reference_sample_trajectories(mdp, policy, num_traj, horizon, seed=k, label=k))
+                [reference_sample_trajectories(mdp, policy, num_traj, horizon, seed=k, label=k)])
 
     def test_deterministic_policy_rows(self):
         # zero-probability actions exercise the sparse action table
         mdp = build_gridworld()
         policy = greedy_policy(random_policy(np.random.default_rng(6), 16, 4))
         assert_same_trajectories(sample_trajectories(mdp, [SampleGroup(policy, 5, 3)], 40),
-                                 reference_sample_trajectories(mdp, policy, 5, 40, seed=3))
+                                 [reference_sample_trajectories(mdp, policy, 5, 40, seed=3)])
 
     def test_more_trajectories_than_one_block(self, monkeypatch):
         # a 64-double buffer holds 3 trajectories of 1 + 2 * 10 uniforms,
@@ -410,13 +473,13 @@ class TestSamplerMatchesPerStepReference:
         for k, mdp in enumerate(small_mdps()):
             policy = uniform_policy(mdp.num_states, mdp.num_actions)
             assert_same_trajectories(sample_trajectories(mdp, [SampleGroup(policy, 10, k)], 10),
-                                     reference_sample_trajectories(mdp, policy, 10, 10, seed=k))
+                                     [reference_sample_trajectories(mdp, policy, 10, 10, seed=k)])
 
     def test_taxi(self):
         mdp = build_taxi()
         policy = soften_policy(uniform_policy(mdp.num_states, mdp.num_actions), 0.2)
         assert_same_trajectories(sample_trajectories(mdp, [SampleGroup(policy, 3, 9)], 150),
-                                 reference_sample_trajectories(mdp, policy, 3, 150, seed=9))
+                                 [reference_sample_trajectories(mdp, policy, 3, 150, seed=9)])
 
     @settings(max_examples=40, deadline=None)
     @given(shares=st.lists(st.integers(0, 4), min_size=1, max_size=4),
@@ -435,16 +498,17 @@ class TestSamplerMatchesPerStepReference:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(mdp_module, "_UNIFORM_BUFFER", buffer)
             got = sample_trajectories(mdp, groups, horizon)
-        expected = [t for policy, n, group_seed, label in groups
-                    for t in reference_sample_trajectories(mdp, policy, n, horizon,
-                                                           seed=group_seed, label=label)]
+        expected = [reference_sample_trajectories(mdp, policy, n, horizon,
+                                                  seed=group_seed, label=label)
+                    for policy, n, group_seed, label in groups]
         assert_same_trajectories(got, expected)
 
     def test_groups_without_trajectories(self):
         mdp = build_singlepath()
         policy = uniform_policy(5, 2)
         assert sample_trajectories(mdp, [], 10) == []
-        assert sample_trajectories(mdp, [SampleGroup(policy, 0, 1)], 10) == []
+        assert_same_trajectories(sample_trajectories(mdp, [SampleGroup(policy, 0, 1, 2)], 10),
+                                 [reference_sample_trajectories(mdp, policy, 0, 10, 1, 2)])
 
     @pytest.mark.parametrize("groups, horizon", [
         ([(uniform_policy(5, 2), 1, 0)], 0),

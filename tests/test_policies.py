@@ -62,8 +62,8 @@ class TestEstimatePolicyMle:
         mdp = build_singlepath()
         truth = TabularPolicy(np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5],
                                         [0.7, 0.3], [0.4, 0.6]]))
-        trajs = sample_trajectories(mdp, [SampleGroup(truth, 100, 0)], 1000)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(truth, 100, 0)], 1000))
         estimate = estimate_policy_mle(data, 5, 2)
         visits = np.bincount(data.s, minlength=5)
         well_visited = visits >= 500
@@ -180,10 +180,10 @@ class TestExactMixedPolicy:
         d1 = stationary_distribution(mdp, b1)
         d2 = stationary_distribution(mdp, b2)
         horizon = 1000
-        trajs = sample_trajectories(stationary_start(mdp, b1),
+        parts = sample_trajectories(stationary_start(mdp, b1),
                                     [SampleGroup(b1, 400, 0)], horizon)
-        trajs += sample_trajectories(stationary_start(mdp, b2), [SampleGroup(b2, 600, 1)], horizon)
-        data = TransitionDataset.from_trajectories(trajs)
+        parts += sample_trajectories(stationary_start(mdp, b2), [SampleGroup(b2, 600, 1)], horizon)
+        data = TransitionDataset.concatenate(parts)
         assert len(data) == 10**6
         mixed = exact_mixed_policy([b1, b2], WeightVector([0.4, 0.6]), [d1, d2])
         mle = estimate_policy_mle(data, 5, 2)
@@ -211,9 +211,8 @@ class TestEmpiricalStateDistribution:
         mdp = build_singlepath()
         policy = TabularPolicy(np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5],
                                          [0.7, 0.3], [0.4, 0.6]]))
-        trajs = sample_trajectories(stationary_start(mdp, policy),
-                                    [SampleGroup(policy, 100, 3)], 1000)
-        data = TransitionDataset.from_trajectories(trajs)
+        data = TransitionDataset.concatenate(
+            sample_trajectories(stationary_start(mdp, policy), [SampleGroup(policy, 100, 3)], 1000))
         d_hat = empirical_state_distribution(data, 5)
         d = stationary_distribution(mdp, policy)
         assert 0.5 * np.abs(d_hat.probs - d.probs).sum() <= 0.02
