@@ -10,6 +10,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -434,7 +435,7 @@ def sample_trajectories(mdp: TabularMDP, groups, horizon: int) -> list[Transitio
 
 # the valid range of each Q-learning parameter: (test, description)
 Q_LEARNING_RANGES = {
-    "episodes": (lambda v: v >= 1, ">= 1"),
+    "episodes": (lambda v: isinstance(v, Integral) and v >= 1, ">= 1 and an integer"),
     "epsilon": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     "alpha": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "gamma": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
@@ -471,28 +472,31 @@ def train_q_learning_policy(mdp: TabularMDP, episodes: int, epsilon: float,
 
 
 # raw 64-bit words that _q_learning_table reads from the generator at a time
-# (32 KB); at least the three words one step can read
+# (32 KB); at least the three words one step keeps in stock
 _RAW_BATCH = 1 << 12
 
 _LOW32 = 0xFFFFFFFF
 
 
-def _bounded_draw(next32, bound: int) -> int:
-    """``Generator.integers(bound)`` for 1 <= bound <= 2**32, from a source
-    of 32-bit draws.
+def _bounded_draw(draw: int, bound: int) -> int | None:
+    """The value that ``Generator.integers(bound)`` takes from the 32-bit
+    draw ``draw``, for 2 <= bound <= 2**32, or None if it draws again.
 
     numpy (``buffered_bounded_lemire_uint32``) maps a 32-bit draw x to
     (x * bound) >> 32 by Lemire's method and draws again while the low 32
     bits of x * bound fall below 2**32 % bound, which removes the bias.
-    ``integers(1)`` draws nothing.
     """
-    if bound == 1:
-        return 0
-    threshold = (1 << 32) % bound
-    m = next32() * bound
-    while (m & _LOW32) < threshold:
-        m = next32() * bound
-    return m >> 32
+    scaled = draw * bound
+    if scaled & _LOW32 < (1 << 32) % bound:
+        return None
+    return scaled >> 32
+
+
+def _read_more(bit_generator, words: np.ndarray, pos: int):
+    """The words of ``words`` from ``pos`` on followed by a fresh batch of
+    ``_RAW_BATCH`` raw words, and each word decoded as ``random()``."""
+    words = np.concatenate([words[pos:], bit_generator.random_raw(_RAW_BATCH)])
+    return words, ((words >> 11) * 2.0**-53).tolist()
 
 
 def _q_learning_table(mdp: TabularMDP, episodes: int, epsilon: float, alpha: float,
@@ -504,7 +508,13 @@ def _q_learning_table(mdp: TabularMDP, episodes: int, epsilon: float, alpha: flo
     ``random()`` per uniform and one ``integers(num_actions)`` per
     exploratory action: a uniform is (word >> 11) * 2**-53, and a 32-bit
     draw is the low half of a fresh word, whose high half is kept for the
-    next 32-bit draw.
+    next 32-bit draw.  :func:`_bounded_draw` turns 32-bit draws into an
+    action, and ``integers(1)`` draws nothing.
+
+    Each state's greedy value max Q(s, .) and action, the first maximal
+    index as ``np.argmax`` picks, are cached.  An update raises the cached
+    pair when the new value is larger, or equal at a lower action index,
+    and rescans the row only when the cached action's own value fell.
     """
     bit_generator = np.random.default_rng(seed).bit_generator
     num_states, num_actions = mdp.num_states, mdp.num_actions
@@ -517,59 +527,64 @@ def _q_learning_table(mdp: TabularMDP, episodes: int, epsilon: float, alpha: flo
     state_ids = list(range(num_states))
     bounds = rows.indptr.tolist()
     cdf_rows, col_rows = [], []
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        cdf_rows.append(list(accumulate(rows.data[start:end].tolist())) + [np.inf])
-        col_rows.append([state_ids[c] for c in rows.indices[start:end].tolist()]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        cdf_rows.append(list(accumulate(rows.data[lo:hi].tolist())) + [np.inf])
+        col_rows.append([state_ids[c] for c in rows.indices[lo:hi].tolist()]
                         + [state_ids[-1]])
-    reward = mdp.reward.tolist()
+    reward = mdp.reward.ravel().tolist()  # indexed by row s * A + a
     init_cdf = np.cumsum(mdp.initial_dist).tolist()
     q = [[0.0] * num_actions for _ in range(num_states)]
+    best_value, best_action = [0.0] * num_states, [0] * num_states
 
-    words, uniforms, pos = np.empty(0, dtype=np.uint64), [], 0
+    # a uniform never falls below 0, so one action never explores and never
+    # reads a 32-bit draw
+    explore_below = epsilon if num_actions > 1 else 0.0
+    words, uniforms, pos, end = np.empty(0, dtype=np.uint64), [], 0, 0
     high = None  # the unused high half of the last word split into 32-bit draws
-
-    def refill():
-        """Append a fresh batch of words to the unread ones."""
-        nonlocal words, uniforms, pos
-        words = np.concatenate([words[pos:], bit_generator.random_raw(_RAW_BATCH)])
-        uniforms = ((words >> 11) * 2.0**-53).tolist()
-        pos = 0
-
-    def next32():
-        """The next 32-bit draw, as PCG64's buffered next_uint32."""
-        nonlocal pos, high
-        if high is not None:
-            low, high = high, None
-            return low
-        if pos == len(uniforms):
-            refill()
-        word = int(words[pos])
-        pos += 1
-        high = word >> 32
-        return word & _LOW32
-
     last_state = num_states - 1
     for _ in range(episodes):
-        if pos == len(uniforms):
-            refill()
+        if pos == end:
+            words, uniforms = _read_more(bit_generator, words, pos)
+            pos, end = 0, len(uniforms)
         s = min(bisect_right(init_cdf, uniforms[pos]), last_state)
         pos += 1
         for _ in range(steps_per_episode):
-            # a step reads at most three words; a rejected bounded draw
-            # takes more, and next32 refills for those
-            if pos + 3 > len(uniforms):
-                refill()
-            q_s = q[s]
-            explore = uniforms[pos] < epsilon
+            # a step reads at most three words unless a bounded draw is
+            # rejected; the rejection loop keeps the next-state word unread
+            if pos + 3 > end:
+                words, uniforms = _read_more(bit_generator, words, pos)
+                pos, end = 0, len(uniforms)
+            greedy = best_action[s]
+            explore = uniforms[pos] < explore_below
             pos += 1
             if explore:
-                a = _bounded_draw(next32, num_actions)
+                a = None
+                while a is None:
+                    if high is None:
+                        if pos + 2 > end:
+                            words, uniforms = _read_more(bit_generator, words, pos)
+                            pos, end = 0, len(uniforms)
+                        word = int(words[pos])
+                        pos += 1
+                        a, high = _bounded_draw(word & _LOW32, num_actions), word >> 32
+                    else:
+                        a, high = _bounded_draw(high, num_actions), None
             else:
-                a = q_s.index(max(q_s))  # first maximal action, as np.argmax
+                a = greedy
             row = s * num_actions + a
             sp = col_rows[row][bisect_right(cdf_rows[row], uniforms[pos])]
             pos += 1
-            q_s[a] += alpha * (reward[s][a] + gamma * max(q[sp]) - q_s[a])
+            q_s = q[s]
+            old = q_s[a]
+            new = q_s[a] = old + alpha * (reward[row] + gamma * best_value[sp] - old)
+            if a == greedy:
+                if new >= old:
+                    best_value[s] = new
+                else:
+                    best_value[s] = top = max(q_s)
+                    best_action[s] = q_s.index(top)
+            elif new > best_value[s] or new == best_value[s] and a < greedy:
+                best_value[s], best_action[s] = new, a
             s = sp
     return np.array(q)
 

@@ -1,5 +1,6 @@
 import time
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -596,24 +597,59 @@ class TestQLearningMatchesPerStepReference:
             args = (mdp, 20, 0.5, 0.3, 0.9, 60 + k, 30)
             assert np.array_equal(_q_learning_table(*args), reference_q_table(*args))
 
+    @settings(max_examples=80, deadline=None)
+    @given(num_states=st.integers(1, 6), num_actions=st.integers(1, 7),
+           rewards=st.sampled_from(["normal", "integer", "zero"]),
+           epsilon=st.sampled_from([0.1, 0.9]), batch=st.sampled_from([5, 1 << 12]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_on_random_mdps(self, num_states, num_actions, rewards,
+                                              epsilon, batch, seed):
+        # integer and all-zero rewards with dyadic alpha and gamma keep many
+        # Q values exactly equal, so the cached greedy action must follow
+        # np.argmax's first-index rule through ties and through rescans
+        rng = np.random.default_rng(seed)
+        transition = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
+        transition *= rng.random(transition.shape) < 0.6
+        transition[..., 0] += transition.sum(axis=2) == 0  # no empty row
+        transition /= transition.sum(axis=2, keepdims=True)
+        shape = (num_states, num_actions)
+        reward = {"normal": rng.normal(size=shape),
+                  "integer": rng.integers(-2, 3, size=shape).astype(np.float64),
+                  "zero": np.zeros(shape)}[rewards]
+        mdp = TabularMDP(transition, reward, rng.dirichlet(np.ones(num_states)))
+        args = (mdp, 8, epsilon, 0.5, 0.5, seed, 25)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mdp_module, "_RAW_BATCH", batch)
+            assert np.array_equal(_q_learning_table(*args), reference_q_table(*args))
+
+
+class _RawWords:
+    """Stand-in for a bit generator whose raw stream is ``words``, then zeros."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def random_raw(self, size):
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out + [0] * (size - len(out)), dtype=np.uint64)
+
 
 class TestBoundedDraw:
     """``_bounded_draw`` reproduces ``Generator.integers(bound)`` from
-    32-bit draws, Lemire's rejection loop included."""
+    32-bit draws, Lemire's rejection loop included, and the Q-learning loop
+    feeds it the draws numpy would."""
+
+    TOP = (1 << 32) - 1
 
     def test_crafted_draws(self):
-        top = (1 << 32) - 1
         # 0 * 6 has low bits 0 < 2**32 % 6 = 4: rejected, the next draw decides
-        draws = iter([0, top, 1])
-        assert _bounded_draw(draws.__next__, 6) == 5
-        assert next(draws) == 1
-        assert _bounded_draw(iter([0, 0, (1 << 31) + 1]).__next__, 6) == 3
-        assert _bounded_draw(iter([top]).__next__, 7) == 6
-        assert _bounded_draw(iter([1 << 31]).__next__, 2) == 1
-        # a power of two has threshold 0, so word 0 is accepted
-        assert _bounded_draw(iter([0]).__next__, 4) == 0
-        # integers(1) draws nothing
-        assert _bounded_draw(iter([]).__next__, 1) == 0
+        assert _bounded_draw(0, 6) is None
+        assert _bounded_draw(self.TOP, 6) == 5
+        assert _bounded_draw((1 << 31) + 1, 6) == 3
+        assert _bounded_draw(self.TOP, 7) == 6
+        assert _bounded_draw(1 << 31, 2) == 1
+        # a power of two has threshold 0, so draw 0 is accepted
+        assert _bounded_draw(0, 4) == 0
 
     @pytest.mark.parametrize("bound", [2, 3, 6, 7, 1000, 3 << 30, (1 << 31) + 1, 1 << 32])
     def test_matches_generator_integers(self, bound):
@@ -624,7 +660,50 @@ class TestBoundedDraw:
             words = np.random.default_rng(seed).bit_generator.random_raw(2000).tolist()
             halves = iter([half for w in words for half in (w & 0xFFFFFFFF, w >> 32)])
             for _ in range(300):
-                assert _bounded_draw(halves.__next__, bound) == int(rng.integers(bound))
+                value = None
+                while value is None:
+                    value = _bounded_draw(next(halves), bound)
+                assert value == int(rng.integers(bound))
+
+    @staticmethod
+    def explored_actions(monkeypatch, num_actions, words, steps):
+        """The actions of a Q-learning episode of ``steps`` steps that reads
+        the raw stream ``words``.  Every step explores, since the uniforms of
+        word 0 are 0, on a chain that moves from s to s + 1 whatever the
+        action, with reward a + 1 and alpha 1: each state is visited once,
+        before its successor, so row s of Q is a + 1 at the action taken
+        there and 0 elsewhere."""
+        transition = np.zeros((steps + 1, num_actions, steps + 1))
+        transition[np.arange(steps), :, np.arange(1, steps + 1)] = 1.0
+        transition[steps, :, steps] = 1.0
+        reward = np.tile(np.arange(1.0, num_actions + 1), (steps + 1, 1))
+        initial = np.eye(steps + 1)[0]
+        stream = SimpleNamespace(bit_generator=_RawWords(words))
+        monkeypatch.setattr(mdp_module.np.random, "default_rng", lambda seed: stream)
+        q = _q_learning_table(TabularMDP(transition, reward, initial), 1, 0.5, 1.0, 0.5,
+                              0, steps)
+        visited = q[:steps]
+        assert np.array_equal(np.count_nonzero(visited, axis=1), np.ones(steps))
+        return (visited.sum(axis=1) - 1).astype(int).tolist()
+
+    def test_loop_rejects_low_half_then_takes_high_half(self, monkeypatch):
+        # word layout: the initial state, then per step the explore uniform,
+        # the words its 32-bit draws split and the next-state uniform.  The
+        # low half 0 is rejected and the buffered high half decides; the
+        # next draw splits a fresh word
+        words = [0, 0, self.TOP << 32, 0, 0, 1, 0]
+        assert self.explored_actions(monkeypatch, 6, words, 2) == [5, 0]
+
+    def test_loop_keeps_high_half_after_two_rejections(self, monkeypatch):
+        words = [0, 0, 0, self.TOP << 32 | (1 << 31) + 1, 0, 0, 0]
+        assert self.explored_actions(monkeypatch, 6, words, 2) == [3, 5]
+
+    def test_loop_rejects_past_the_batch_end(self, monkeypatch):
+        # with 5-word batches the rejections read up to the batch's last
+        # word, and the next-state uniform comes from the next batch
+        monkeypatch.setattr(mdp_module, "_RAW_BATCH", 5)
+        words = [0, 0, 0, 0, (1 << 31) + 1, 0, 0, 1, 0]
+        assert self.explored_actions(monkeypatch, 6, words, 2) == [3, 0]
 
 
 class TestQLearning:
@@ -651,6 +730,8 @@ class TestQLearning:
             train_q_learning_policy(mdp, 10, 0.1, 0.5, 1.0, seed=0)
         with pytest.raises(ValueError, match="episodes"):
             train_q_learning_policy(mdp, 0, 0.1, 0.5, 0.9, seed=0)
+        with pytest.raises(ValueError, match="episodes must be >= 1 and an integer"):
+            train_q_learning_policy(mdp, 20.0, 0.1, 0.5, 0.9, seed=0)
 
 
 class TestSoftenPolicy:
