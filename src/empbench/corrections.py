@@ -104,7 +104,8 @@ class QuadraticForm:
 
     ``entries`` holds A as the solver multiplies by it: CSR when A has at
     least ``SPARSE_MIN_DIM`` (512) rows and fewer than a quarter of its
-    entries nonzero, dense otherwise; :attr:`matrix` is always dense.  The
+    entries nonzero, its indices sorted (in a copy: CSR matvecs add in stored
+    order), dense otherwise; :attr:`matrix` is always dense.  The
     data-average normalization (1 / total-weight-squared) is kept as the
     separate ``scale`` scalar instead of being folded into the entries: with
     unit sample weights the accumulated Gram matrix is integer-valued, so
@@ -128,7 +129,8 @@ class QuadraticForm:
         if not np.isfinite(entries.data if sparse.issparse(entries) else entries).all():
             raise ValueError("quadratic form entries must be finite")
         if self.dim >= SPARSE_MIN_DIM and nnz < 0.25 * self.dim**2:
-            self.entries = sparse.csr_matrix(entries)
+            entries = sparse.csr_matrix(entries)
+            self.entries = entries if entries.has_sorted_indices else entries.sorted_indices()
         else:
             self.entries = entries if isinstance(entries, np.ndarray) else entries.toarray()
 
@@ -207,55 +209,27 @@ def importance_ratios(data: TransitionDataset, target: TabularPolicy,
 
 
 def _factor(vals, rows, cols, dim: int):
-    """The (dim, dim) matrix holding the sum of ``vals`` at each (row, col).
-    Below ``SPARSE_MIN_DIM`` it is dense, each entry's terms added in input
-    order by ``np.bincount``; otherwise CSR, through scipy's COO to CSR
-    conversion."""
+    """The residual factor: the (dim, dim) matrix holding the sum of ``vals``
+    at each (row, col).  Below ``SPARSE_MIN_DIM`` it is dense, each entry's
+    terms added in input order by ``np.bincount``; otherwise CSR, through
+    scipy's COO to CSR conversion."""
     if dim < SPARSE_MIN_DIM:
         return np.bincount(rows * dim + cols, weights=vals,
                            minlength=dim * dim).reshape(dim, dim)
     return sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
-def _dense_gram(left: np.ndarray) -> np.ndarray:
-    """left @ left' for a dense factor, each entry (i, j) the sum over k of
-    left[i, k] left[j, k] taken over the nonzero products in ascending k,
-    the order CSR SpGEMM adds them in.  Entries (i, j) and (j, i) add the
-    same products in the same order, so the result is exactly symmetric.
-
-    Every pair of nonzeros sharing a column k is one term, and
-    ``np.bincount`` adds each entry's terms in the order the pairs are
-    listed: by k, then by row.
-    """
-    n = left.shape[0]
-    k, i = np.nonzero(left.T)  # nonzeros by column, rows ascending within one
-    vals = left[i, k]
-    per_k = np.bincount(k, minlength=left.shape[1])
-    # entry e pairs with the per_k[k[e]] entries of its column, in row order
-    reps = per_k[k]
-    first = np.repeat(np.arange(len(k)), reps)
-    offsets = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
-    second = np.repeat(np.cumsum(per_k)[k] - reps, reps) + offsets
-    return np.bincount(i[first] * n + i[second], weights=vals[first] * vals[second],
-                       minlength=n * n).reshape(n, n)
-
-
 def _kernel_quadratic(left, kernel: KernelSpec, gram, w_total: float) -> QuadraticForm:
     """The symmetric form left K left' / W^2 of the factor ``left``, dense or
-    CSR (see :func:`_factor`): K is the identity for the delta kernels, and
-    ``gram()``, a dense Gram matrix, for the gaussian one."""
+    CSR (see :func:`_factor`): K is ``gram()``, a dense Gram matrix, for the
+    gaussian kernel, and the identity for the delta kernels, whose form is
+    ``left @ left.T``, exactly symmetric both as BLAS ``syrk`` and SpGEMM."""
     if kernel.kind == "gaussian-on-embedding":
         dense = left if isinstance(left, np.ndarray) else left.toarray()
         mat = dense @ gram() @ dense.T
         mat = 0.5 * (mat + mat.T)
-    elif isinstance(left, np.ndarray):
-        mat = _dense_gram(left)
     else:
-        # already exactly symmetric: SpGEMM sums the products for (i, j) and
-        # (j, i) over the same k in the same ascending order, and IEEE
-        # products commute
-        mat = (left @ left.T).tocsr()
-        mat.sort_indices()  # CSR matvecs add in stored order
+        mat = left @ left.T
     return QuadraticForm(mat, left.shape[0], scale=1.0 / w_total**2)
 
 

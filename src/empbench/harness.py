@@ -148,8 +148,10 @@ _CONFIG_KEYS = {
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key = value config format (lists comma-separated,
-    ``#`` starts a comment); absent keys keep the dataclass defaults."""
+    ``#`` starts a comment); absent keys keep the dataclass defaults, and a
+    key may be set once."""
     sections = {"": {}, "target": {}, "kernel": {}, "solver": {}}
+    first_line = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -159,6 +161,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise InvalidConfig(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise InvalidConfig(f"line {lineno}: key {key!r} is already set on line "
+                                f"{first_line[key]}")
+        first_line[key] = lineno
         section, name, parse = _CONFIG_KEYS[key]
         try:
             sections[section][name] = parse(value)

@@ -258,6 +258,10 @@ def chain_matrix(mdp: TabularMDP, policy: TabularPolicy) -> sparse.csr_matrix:
 
 # power iterations between two checks that the balance residual still shrinks
 _RESIDUAL_WINDOW = 1000
+# power iteration stops once the balance residual ||d M - d||_1 is this small
+_BALANCE_TOL = 1e-10
+# and gives up after this many iterations
+_MAX_POWER_ITERS = 10**6
 
 
 def matvec_into(matrix):
@@ -276,26 +280,25 @@ def matvec_into(matrix):
     return product
 
 
-def stationary_distribution(mdp: TabularMDP, policy: TabularPolicy,
-                            tol: float = 1e-10, max_iters: int = 10**6) -> StateDistribution:
+def stationary_distribution(mdp: TabularMDP, policy: TabularPolicy) -> StateDistribution:
     """Stationary distribution of the policy-induced chain by power iteration.
 
     Starts from the uniform vector and iterates d <- d M, as the sparse
     product M^T d (:func:`matvec_into`, into reused buffers), until the
-    balance residual ||d M - d||_1 drops below ``tol``.  M is stochastic, so
-    the residual never grows; it stays put on a periodic chain.  Raises
-    :class:`NonErgodicChain` when the residual has not shrunk over
-    ``_RESIDUAL_WINDOW`` iterations, or has not converged within
-    ``max_iters`` iterations.
+    balance residual ||d M - d||_1 drops below ``_BALANCE_TOL``.  M is
+    stochastic, so the residual never grows; it stays put on a periodic
+    chain.  Raises :class:`NonErgodicChain` when the residual has not shrunk
+    over ``_RESIDUAL_WINDOW`` iterations, or has not converged within
+    ``_MAX_POWER_ITERS`` iterations.
     """
     product = matvec_into(chain_matrix(mdp, policy).T.tocsr())
     d = np.full(mdp.num_states, 1.0 / mdp.num_states)
     d_next, diff = np.empty_like(d), np.empty_like(d)
     checkpoint = np.inf
-    for k in range(max_iters):
+    for k in range(_MAX_POWER_ITERS):
         product(d, d_next)
         residual = np.abs(np.subtract(d_next, d, out=diff), out=diff).sum()
-        if residual <= tol:
+        if residual <= _BALANCE_TOL:
             return StateDistribution(d / d.sum())
         if k % _RESIDUAL_WINDOW == 0:
             if residual >= checkpoint:
@@ -305,7 +308,7 @@ def stationary_distribution(mdp: TabularMDP, policy: TabularPolicy,
             checkpoint = residual
         d, d_next = d_next, d
     raise NonErgodicChain(
-        f"balance residual did not reach {tol} within {max_iters} iterations")
+        f"balance residual did not reach {_BALANCE_TOL} within {_MAX_POWER_ITERS} iterations")
 
 
 def average_reward(mdp: TabularMDP, policy: TabularPolicy,

@@ -284,20 +284,6 @@ def reference_delta_factors(data, target, denom, nu, num_states, num_actions):
     return sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
-def reference_k_ordered_gram(left):
-    """left @ left' for a dense factor by the definition: entry (i, j) adds
-    left[i, k] left[j, k] for k = 0, 1, ... wherever both are nonzero,
-    starting from 0.0."""
-    n, num_k = left.shape
-    gram = np.zeros((n, n))
-    for k in range(num_k):
-        nonzero = np.flatnonzero(left[:, k])
-        for i in nonzero:
-            for j in nonzero:
-                gram[i, j] += left[i, k] * left[j, k]
-    return gram
-
-
 def reference_policy_mle(data, num_states, num_actions):
     """Frozen copy of the original maximum-likelihood policy estimate, which
     counted with ``np.add.at``."""

@@ -20,7 +20,7 @@ from empbench.policies import empirical_state_distribution, estimate_policy_mle
 from helpers import (naive_state_action_objective, naive_state_quadratic,
                      one_hot_gaussian_gram, random_mdp, random_policy, random_soft_policy,
                      reference_delta_factors, reference_delta_quadratic,
-                     reference_k_ordered_gram, reference_pgd_solve, stationary_start)
+                     reference_pgd_solve, stationary_start)
 
 
 def random_dataset(rng, num_states, num_actions, n, unit_weights=True):
@@ -275,11 +275,13 @@ class TestSparseQuadraticForms:
                                             KernelSpec.state_action_delta(), num_states,
                                             num_actions)
             dense = reference_delta_quadratic(left)
-            assert np.array_equal(qf.matrix, dense)
             if qf.dim >= 512:
+                assert np.array_equal(qf.matrix, dense)
                 assert_same_csr(qf.entries, sparse.csr_matrix(dense))
-            else:
+            else:  # one BLAS product, which adds in another order than SpGEMM
                 assert isinstance(qf.entries, np.ndarray)
+                assert np.array_equal(qf.matrix, qf.matrix.T)
+                assert np.abs(qf.matrix - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_solver_multiplies_sparse_only_when_large_and_sparse(self, monkeypatch,
                                                                  taxi_cell):
@@ -315,6 +317,26 @@ class TestSparseQuadraticForms:
             else:
                 assert isinstance(form.entries, np.ndarray)
 
+    def test_form_sorts_csr_indices_in_a_copy(self):
+        # CSR matvecs add in stored order, so the form owns sorted indices;
+        # a caller's unsorted matrix is copied, not sorted in place
+        m = sparse.random(600, 600, density=0.01, random_state=5, format="csr")
+        sorted_csr = (m + m.T).tocsr()
+        sorted_csr.sort_indices()
+        indptr, indices, data = (a.copy() for a in (sorted_csr.indptr, sorted_csr.indices,
+                                                    sorted_csr.data))
+        for lo, hi in zip(indptr[:-1], indptr[1:]):  # reverse each row's order
+            indices[lo:hi], data[lo:hi] = indices[lo:hi][::-1], data[lo:hi][::-1]
+        unsorted = sparse.csr_matrix((data, indices, indptr), shape=(600, 600))
+        assert not unsorted.has_sorted_indices
+        stored = [a.copy() for a in (unsorted.indptr, unsorted.indices, unsorted.data)]
+        qf = QuadraticForm(unsorted, 600)
+        assert_same_csr(qf.entries, sorted_csr)
+        for name, before in zip(("indptr", "indices", "data"), stored):
+            assert np.array_equal(getattr(unsorted, name), before), name
+        x = np.random.default_rng(5).random(600)
+        assert qf.value(x) == QuadraticForm(sorted_csr, 600).value(x)
+
     def test_form_accepts_dense_and_sparse_entries(self):
         dense = np.array([[2.0, -1.0], [-1.0, 2.0]])
         for entries in (dense, sparse.coo_matrix(dense)):
@@ -327,7 +349,7 @@ class TestSparseQuadraticForms:
 
 class TestDenseQuadraticForms:
     """Forms below SPARSE_MIN_DIM variables are assembled dense: the factor
-    from np.bincount, the form from its columns in ascending order."""
+    from np.bincount, the form as the one BLAS product left @ left.T."""
 
     # (dim, records) per state form; (states, actions, records) per
     # state-action form of 5, 16 and 511 variables
@@ -339,7 +361,6 @@ class TestDenseQuadraticForms:
         assert isinstance(qf.entries, np.ndarray) and isinstance(left, np.ndarray)
         mat = qf.matrix
         assert np.array_equal(mat, mat.T)
-        assert np.array_equal(mat, reference_k_ordered_gram(left))
         # the frozen path sums the factor's duplicate entries in another order
         frozen = reference_delta_quadratic(frozen_left)
         assert np.abs(mat - frozen).max() <= 1e-12 * np.abs(frozen).max()

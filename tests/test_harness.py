@@ -48,6 +48,14 @@ solver.iters = 1500
 """
 
 
+def tiny_config_with(line):
+    """TINY_CONFIG with ``line`` in place of its line for the same key (a
+    config sets each key once)."""
+    key = line.split("=", 1)[0].strip()
+    kept = [old for old in TINY_CONFIG.splitlines() if old.split("=", 1)[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
 class TestTvDistance:
     def test_identical_distributions(self):
         d = StateDistribution(np.array([0.2, 0.8]))
@@ -172,6 +180,15 @@ class TestParseConfig:
         config.write_text(TINY_CONFIG + "solver.step = 0.25\n", encoding="utf-8")
         assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
         assert "unknown key 'solver.step'" in capsys.readouterr().err
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # a second value for a key is an error, not a silent override
+        with pytest.raises(InvalidConfig, match="line 3: key 'seeds' is already set on line 1"):
+            parse_config("seeds = 5\n# ten seeds\nseeds = 10\n")
+        config = tmp_path / "exp.cfg"
+        config.write_text(TINY_CONFIG + "seeds = 10\n", encoding="utf-8")
+        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "line 10: key 'seeds' is already set on line 6" in capsys.readouterr().err
 
     def test_zero_iters_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -531,7 +548,7 @@ class TestCli:
 
     @pytest.mark.parametrize("line, message", TARGET_OUT_OF_RANGE)
     def test_target_out_of_range_exits_2(self, tmp_path, capsys, no_sweep, line, message):
-        assert main(["run", str(self.write_config(tmp_path, TINY_CONFIG + line))]) == 2
+        assert main(["run", str(self.write_config(tmp_path, tiny_config_with(line)))]) == 2
         assert re.search(message, capsys.readouterr().err)
 
     def test_bandwidth_on_delta_kernel_exits_2(self, tmp_path, capsys, no_sweep):
@@ -587,7 +604,7 @@ class TestCli:
     @pytest.mark.parametrize("line", ["methods = bch, bch", "num_trajectories = 4, 4",
                                       "horizons = 20, 20"])
     def test_duplicate_sweep_entry_exits_2(self, tmp_path, capsys, no_sweep, line):
-        config = self.write_config(tmp_path, TINY_CONFIG + line)
+        config = self.write_config(tmp_path, tiny_config_with(line))
         assert main(["run", str(config)]) == 2
         assert f"{line.split()[0]} lists an entry twice" in capsys.readouterr().err
 
@@ -619,6 +636,21 @@ class TestCli:
         assert main(["run", str(DATA / f"{name}.cfg"), "--seed", "0",
                      "--out", str(out)]) == 0
         golden = DATA / f"{name}_records.csv"
+        assert (out / "records.csv").read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("blas_threads", ["1", "2"])
+    def test_golden_records_for_any_blas_thread_count(self, tmp_path, blas_threads):
+        # small forms are one BLAS product; OpenBLAS reads its thread count
+        # when it loads, so each count runs in a fresh interpreter
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "empbench.cli", "run",
+                               str(DATA / "allmethods_1behavior.cfg"), "--seed", "0",
+                               "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        golden = DATA / "allmethods_1behavior_records.csv"
         assert (out / "records.csv").read_bytes() == golden.read_bytes()
 
     def test_run_tv_summary_matches_golden(self, tmp_path):

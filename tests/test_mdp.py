@@ -259,20 +259,22 @@ class TestStationaryDistribution:
         for _ in range(5):
             mdp = random_mdp(rng, 6, 2)
             policy = random_policy(rng, 6, 2)
-            d = stationary_distribution(mdp, policy, tol=1e-10)
+            d = stationary_distribution(mdp, policy)
             residual = np.abs(d.probs @ chain_matrix(mdp, policy).toarray() - d.probs).sum()
             assert residual <= 1e-10
 
-    def test_periodic_chain_raises(self):
+    def test_periodic_chain_raises(self, monkeypatch):
         # bipartite chain {0} <-> {1, 2}: the uniform start oscillates forever
         transition = np.zeros((3, 1, 3))
         transition[0, 0, 1] = transition[0, 0, 2] = 0.5
         transition[1, 0, 0] = transition[2, 0, 0] = 1.0
         mdp = TabularMDP(transition, np.zeros((3, 1)), np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(NonErgodicChain, match="within 500 iterations"):
-            stationary_distribution(mdp, uniform_policy(3, 1), max_iters=500)
-        # with the default max_iters = 10**6 it stops once the residual
-        # has not shrunk over one window
+        with monkeypatch.context() as patch:
+            patch.setattr(mdp_module, "_MAX_POWER_ITERS", 500)
+            with pytest.raises(NonErgodicChain, match="within 500 iterations"):
+                stationary_distribution(mdp, uniform_policy(3, 1))
+        # with the cap of 10**6 iterations it stops once the residual has
+        # not shrunk over one window
         start = time.perf_counter()
         with pytest.raises(NonErgodicChain, match="stopped shrinking"):
             stationary_distribution(mdp, uniform_policy(3, 1))
