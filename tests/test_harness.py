@@ -48,6 +48,13 @@ solver.iters = 1500
 """
 
 
+def cli_env(**extra):
+    """os.environ plus ``extra``, with this checkout's src on PYTHONPATH,
+    for running the CLI in a subprocess."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def tiny_config_with(line):
     """TINY_CONFIG with ``line`` in place of its line for the same key (a
     config sets each key once)."""
@@ -512,10 +519,8 @@ class TestCli:
 
     def test_module_entry_point(self, capsys):
         # `python -m empbench.cli` runs the same main() as the console script
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "empbench.cli", "oracle", "singlepath"],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=cli_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert main(["oracle", "singlepath"]) == 0
         expected = capsys.readouterr().out
@@ -642,13 +647,11 @@ class TestCli:
     def test_golden_records_for_any_blas_thread_count(self, tmp_path, blas_threads):
         # small forms are one BLAS product; OpenBLAS reads its thread count
         # when it loads, so each count runs in a fresh interpreter
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
         out = tmp_path / "out"
         proc = subprocess.run([sys.executable, "-m", "empbench.cli", "run",
                                str(DATA / "allmethods_1behavior.cfg"), "--seed", "0",
-                               "--out", str(out)],
-                              capture_output=True, text=True, env=env, timeout=300)
+                               "--out", str(out)], capture_output=True, text=True,
+                              env=cli_env(OPENBLAS_NUM_THREADS=blas_threads), timeout=300)
         assert proc.returncode == 0, proc.stderr
         golden = DATA / "allmethods_1behavior_records.csv"
         assert (out / "records.csv").read_bytes() == golden.read_bytes()
