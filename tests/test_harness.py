@@ -47,6 +47,25 @@ target.episodes = 40
 solver.iters = 1500
 """
 
+# prints one digest of the gridworld state form (16 variables) and
+# state-action form (64 variables), the largest dense forms a shipped
+# environment assembles, from its population dataset
+GRIDWORLD_FORMS_DIGEST = """
+import hashlib
+import numpy as np
+from empbench import (KernelSpec, TabularPolicy, assemble_state_action_quadratic,
+                      assemble_state_quadratic, build_gridworld, population_dataset)
+rng = np.random.default_rng(7)
+behavior, target = (TabularPolicy(0.8 * rng.dirichlet(np.ones(4), 16) + 0.05)
+                    for _ in range(2))
+data = population_dataset(build_gridworld(), behavior)
+forms = [assemble_state_quadratic(data, target, behavior, KernelSpec.state_delta(), 16),
+         assemble_state_action_quadratic(data, target, np.full(4, 0.25),
+                                         KernelSpec.state_action_delta(), 16, 4)]
+assert all(isinstance(form.entries, np.ndarray) for form in forms)
+print(hashlib.sha256(b"".join(form.entries.tobytes() for form in forms)).hexdigest())
+"""
+
 
 def cli_env(**extra):
     """os.environ plus ``extra``, with this checkout's src on PYTHONPATH,
@@ -655,6 +674,18 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         golden = DATA / "allmethods_1behavior_records.csv"
         assert (out / "records.csv").read_bytes() == golden.read_bytes()
+
+    def test_gridworld_forms_for_any_blas_thread_count(self):
+        # a threaded syrk can add in another order from about 100 variables;
+        # every shipped environment's dense forms are smaller than that
+        digests = []
+        for blas_threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", GRIDWORLD_FORMS_DIGEST],
+                                  capture_output=True, text=True, timeout=120,
+                                  env=cli_env(OPENBLAS_NUM_THREADS=blas_threads))
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
 
     def test_run_tv_summary_matches_golden(self, tmp_path):
         out = tmp_path / "out"
