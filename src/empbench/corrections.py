@@ -35,8 +35,7 @@ from .policies import empirical_state_distribution, estimate_policy_mle, state_a
 
 RATIO_FLOOR = 1e-12
 
-# forms of at least this many variables are stored as CSR when sparse enough;
-# smaller ones are assembled and stored dense
+# forms of at least this many variables are assembled as CSR, smaller ones dense
 SPARSE_MIN_DIM = 512
 
 KERNEL_KINDS = ("state-delta", "state-action-delta", "gaussian-on-embedding")
@@ -102,15 +101,12 @@ class KernelSpec:
 class QuadraticForm:
     """Symmetric PSD form representing an objective x -> scale * x' A x.
 
-    ``entries`` holds A as the solver multiplies by it: CSR when A has at
-    least ``SPARSE_MIN_DIM`` (512) rows and fewer than a quarter of its
-    entries nonzero, its indices sorted (in a copy: CSR matvecs add in stored
-    order), dense otherwise; :attr:`matrix` is always dense.  The
-    data-average normalization (1 / total-weight-squared) is kept as the
-    separate ``scale`` scalar instead of being folded into the entries: with
-    unit sample weights the accumulated Gram matrix is integer-valued, so
-    exact cancellations (for example a residual that is identically zero on
-    on-policy data) survive in floating point.
+    ``entries`` holds A as the solver multiplies by it, stored as given: an
+    array, or CSR with sorted indices (a copy if unsorted: CSR matvecs add
+    in stored order); :attr:`matrix` is dense.  ``scale`` keeps the factor
+    1 / W^2 (W the total weight) out of the entries: with unit weights A is
+    integer-valued, so exact cancellations (for example a residual that is
+    identically zero on on-policy data) survive in floating point.
     """
 
     entries: np.ndarray | sparse.csr_matrix
@@ -120,19 +116,14 @@ class QuadraticForm:
     def __post_init__(self):
         if sparse.issparse(self.entries):
             entries = self.entries.tocsr().astype(np.float64, copy=False)
-            nnz = entries.nnz
-        else:
-            entries = np.asarray(self.entries, dtype=np.float64)
-            nnz = np.count_nonzero(entries)
-        if entries.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix must be ({self.dim}, {self.dim})")
-        if not np.isfinite(entries.data if sparse.issparse(entries) else entries).all():
-            raise ValueError("quadratic form entries must be finite")
-        if self.dim >= SPARSE_MIN_DIM and nnz < 0.25 * self.dim**2:
-            entries = sparse.csr_matrix(entries)
             self.entries = entries if entries.has_sorted_indices else entries.sorted_indices()
+            values = entries.data
         else:
-            self.entries = entries if isinstance(entries, np.ndarray) else entries.toarray()
+            self.entries = values = np.asarray(self.entries, dtype=np.float64)
+        if self.entries.shape != (self.dim, self.dim):
+            raise ValueError(f"matrix must be ({self.dim}, {self.dim})")
+        if not np.isfinite(values).all():
+            raise ValueError("quadratic form entries must be finite")
 
     @property
     def matrix(self) -> np.ndarray:

@@ -84,8 +84,8 @@ def balanced_heuristic(weights: WeightVector, stationary_dists) -> HeuristicTabl
 def mis_reward_estimate(data: TransitionDataset, per_policy_omegas,
                         per_policy_behaviors, target: TabularPolicy,
                         heuristics: HeuristicTable) -> float:
-    """Multiple importance sampling: per-label self-averaged estimates
-    combined through the heuristic weights:
+    """Multiple importance sampling: the sum over labels j with records of
+    :func:`ratio_reward_estimate` on their records with h_j * omega_j and pi_j:
 
     sum_j (1/W_j) sum_{i: label=j} w_i h_j(s_i) omega_j(s_i)
                   pi(a_i|s_i)/pi_j(a_i|s_i) r_i
@@ -98,12 +98,9 @@ def mis_reward_estimate(data: TransitionDataset, per_policy_omegas,
     for j, (omega, behavior) in enumerate(zip(per_policy_omegas, per_policy_behaviors,
                                               strict=True)):
         sub = data.subset(labels == j)
-        if len(sub) == 0:
-            continue
-        rho = importance_ratios(sub, target, behavior)
-        values = _correction_values(omega)
-        total += float((sub.weights * heuristics.h[j, sub.s] * values[sub.s] * rho
-                        * sub.r).sum() / sub.weights.sum())
+        if len(sub):
+            total += ratio_reward_estimate(sub, heuristics.h[j] * _correction_values(omega),
+                                           target, behavior)
     return total
 
 

@@ -203,6 +203,10 @@ class ResultRecord:
     wall_time_ms: int
 
 
+def _record_order(rec: ResultRecord) -> tuple:
+    return (rec.environment, rec.method, rec.num_trajectories, rec.horizon, rec.seed)
+
+
 @dataclass
 class SummaryRow:
     environment: str
@@ -445,8 +449,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int = 0, workers: int = 1
     else:
         chunks = [_run_cell(task) for task in tasks]
     records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: (r.environment, r.method, r.num_trajectories,
-                                r.horizon, r.seed))
+    records.sort(key=_record_order)
     return records
 
 
@@ -508,8 +511,7 @@ def emit_csv(rows, path, row_type=None) -> None:
     if row_type is None:
         row_type = type(rows[0]) if rows else ResultRecord
     if row_type is ResultRecord:
-        rows.sort(key=lambda r: (r.environment, r.method, r.num_trajectories,
-                                 r.horizon, r.seed))
+        rows.sort(key=_record_order)
     names = [f.name for f in fields(row_type)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

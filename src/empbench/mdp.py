@@ -193,6 +193,8 @@ class TransitionDataset:
                 setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
                 if len(getattr(self, name)) != n:
                     raise ValueError(f"{name} must have one entry per record")
+        if n and self.trajectory_ids is not None and self.trajectory_ids.min() < 0:
+            raise ValueError("trajectory ids must be nonnegative")
         if self.weights is None:
             self.weights = np.ones(n, dtype=np.float64)
         else:

@@ -283,11 +283,10 @@ class TestSparseQuadraticForms:
                 assert np.array_equal(qf.matrix, qf.matrix.T)
                 assert np.abs(qf.matrix - dense).max() <= 1e-12 * np.abs(dense).max()
 
-    def test_solver_multiplies_sparse_only_when_large_and_sparse(self, monkeypatch,
-                                                                 taxi_cell):
-        # the form stores, and the solver multiplies by, CSR at >= 512
-        # variables and density < 0.25, dense otherwise; the choice decides
-        # the matvec and with it the rounding
+    def test_solver_multiplies_the_entries_as_stored(self, monkeypatch, taxi_cell):
+        # the form keeps the storage it is given, sparse as sorted CSR, at
+        # any size and density, and the solver multiplies by it as stored:
+        # the storage decides the matvec and with it the rounding
         mdp, target, behaviors, data = taxi_cell
         used = []
         lambda_max = corrections._lambda_max
@@ -299,15 +298,13 @@ class TestSparseQuadraticForms:
         monkeypatch.setattr(corrections, "_lambda_max", spy)
         taxi = assemble_state_quadratic(data, target, behaviors, KernelSpec.state_delta(), 2000)
         small = sparse.random(511, 511, density=0.01, random_state=1)
-        quarter = np.zeros((512, 512))
-        quarter[:256, :256] = 1.0  # exactly a quarter of the entries nonzero
-        below = quarter.copy()
-        below[0, 0] = 0.0
-        cases = [(taxi, True), (QuadraticForm(np.eye(512), 512), True),
-                 (QuadraticForm(below, 512), True),
-                 (QuadraticForm(small @ small.T, 511), False),
-                 (QuadraticForm(quarter, 512), False),
-                 (QuadraticForm(sparse.csr_matrix(quarter), 512), False),
+        below = np.zeros((512, 512))
+        below[:256, :256] = 1.0
+        below[0, 0] = 0.0  # under a quarter of the entries nonzero
+        cases = [(taxi, True), (QuadraticForm(np.eye(512), 512), False),
+                 (QuadraticForm(below, 512), False),
+                 (QuadraticForm(small @ small.T, 511), True),
+                 (QuadraticForm(sparse.csr_matrix(np.ones((512, 512))), 512), True),
                  (QuadraticForm(np.ones((512, 512)), 512), False)]
         for form, csr in cases:
             solve_normalized_quadratic(form, np.full(form.dim, 1.0 / form.dim), iters=1)
@@ -337,12 +334,17 @@ class TestSparseQuadraticForms:
         x = np.random.default_rng(5).random(600)
         assert qf.value(x) == QuadraticForm(sorted_csr, 600).value(x)
 
-    def test_form_accepts_dense_and_sparse_entries(self):
+    def test_form_keeps_dense_and_sparse_entries(self):
         dense = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        for entries in (dense, sparse.coo_matrix(dense)):
-            qf = QuadraticForm(entries, 2, scale=0.5)
-            assert isinstance(qf.entries, np.ndarray) and np.array_equal(qf.matrix, dense)
+        dense_form = QuadraticForm(dense, 2, scale=0.5)
+        coo_form = QuadraticForm(sparse.coo_matrix(dense), 2, scale=0.5)
+        assert isinstance(dense_form.entries, np.ndarray)
+        assert_same_csr(coo_form.entries, sparse.csr_matrix(dense))
+        for qf in (dense_form, coo_form):
+            assert np.array_equal(qf.matrix, dense)
             assert qf.value([1.0, 2.0]) == 0.5 * 6.0
+        x = np.random.default_rng(2).random(2)
+        assert coo_form.value(x) == dense_form.value(x)
         with pytest.raises(ValueError):
             QuadraticForm(sparse.eye(3), 2)
 

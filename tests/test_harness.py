@@ -546,6 +546,18 @@ class TestCli:
         assert expected.startswith("environment = singlepath\n")
         assert proc.stdout == expected
 
+    def test_cli_import_loads_no_unused_scipy_subpackage(self):
+        # none is used, and each would add to every run's resident memory
+        # (scipy.optimize about 26 MB, scipy.sparse.csgraph about 10 MB)
+        unused = {"scipy.optimize", "scipy.linalg", "scipy.sparse.linalg",
+                  "scipy.sparse.csgraph"}
+        proc = subprocess.run([sys.executable, "-c",
+                               "import sys, empbench.cli; print(*sys.modules)"],
+                              capture_output=True, text=True, env=cli_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "empbench.cli" in proc.stdout.split()
+        assert not unused & set(proc.stdout.split())
+
     def test_env_check_subcommand(self, capsys):
         assert main(["env-check", "singlepath"]) == 0
         assert "ok" in capsys.readouterr().out

@@ -438,6 +438,13 @@ class TestConcatenate:
         assert joined.labels is None
         assert joined.trajectory_ids.dtype == np.int64
 
+    def test_negative_ids_raise(self):
+        # shifting by the largest id would join [-5, -5] and [-1, -1] as
+        # [-5, -5, -5, -5], one trajectory across two parts
+        for ids in ([-5, -5], [-1, -1], [0, -1]):
+            with pytest.raises(ValueError, match="trajectory ids must be nonnegative"):
+                TransitionDataset([0, 0], [0, 0], [0, 0], [0.0, 0.0], trajectory_ids=ids)
+
     def test_optional_column_in_some_parts_raises(self):
         labeled = TransitionDataset([0], [0], [1], [0.0], labels=[0])
         unlabeled = TransitionDataset([0], [0], [1], [0.0])
