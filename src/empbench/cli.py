@@ -75,9 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p_run.add_argument("--workers", type=int, default=1,
-                       help="processes that run cells in parallel (default 1); each "
-                            "cell solves its sparse corrections on max(1, CPUs // "
-                            "workers) threads")
+                       help="processes that run cells in parallel, at most one per "
+                            "cell (default 1); each cell solves its sparse corrections "
+                            "on max(1, CPUs // processes) threads")
     p_run.add_argument("--out", default=None, help="output directory (overrides config)")
     p_run.add_argument("--timings", action="store_true",
                        help="record real wall times: a method's own assembly and "

@@ -430,10 +430,10 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int = 0, workers: int = 1
 
     Data seeds derive from the sweep values, so permuting the sweep lists
     permutes rows without changing any per-cell value, and all methods in a
-    cell see the same dataset.  With ``workers`` > 1 the cells run in
-    separate processes.  Inside a cell, the solves of forms stored as CSR
-    run on max(1, usable CPUs // ``workers``) threads, made per cell; dense
-    forms are solved serially.  Results are identical to the serial run.
+    cell see the same dataset.  The cells run in min(``workers``, cells)
+    processes, in this one when that is 1.  Inside a cell, the solves of
+    forms stored as CSR run on max(1, usable CPUs // processes) threads,
+    made per cell; dense forms are solved serially.  Results are identical to the serial run.
     With ``measure_time``, a record's ``wall_time_ms`` covers its method's
     assembly and estimate plus the durations of its own solves, which may
     have overlapped other methods' solves.
@@ -443,6 +443,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int = 0, workers: int = 1
     tasks = [(cfg, master_seed, measure_time, nt, h, k)
              for nt in cfg.num_trajectories for h in cfg.horizons
              for k in range(cfg.seeds)]
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(functools.partial(_run_cell, workers=workers), tasks))
@@ -470,10 +471,11 @@ def _group_stats(records, value):
 
 def summarize_mse(records) -> list[SummaryRow]:
     """Group records by (environment, method, num_trajectories, horizon) and
-    report mean squared error, its standard error, and log10."""
-    return [SummaryRow(*key, n, mean, stderr,
-                       float(np.log10(mean)) if mean > 0 else float("-inf"))
-            for key, n, mean, stderr in _group_stats(records, lambda r: r.squared_error)]
+    report mean squared error, its standard error, and log10: -inf for a
+    zero mean, NaN for a NaN one."""
+    with np.errstate(divide="ignore"):
+        return [SummaryRow(*key, n, mean, stderr, float(np.log10(mean)))
+                for key, n, mean, stderr in _group_stats(records, lambda r: r.squared_error)]
 
 
 @dataclass

@@ -9,7 +9,7 @@ an explicit integer seed so experiments are bit-reproducible.
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from numbers import Integral
 from typing import NamedTuple
 
@@ -78,6 +78,8 @@ class TabularMDP:
         a = rows.shape[0] // s
         if self.reward.shape != (s, a):
             raise ValueError(f"reward must be (S, A) = ({s}, {a}), got {self.reward.shape}")
+        if not np.isfinite(self.reward).all():
+            raise ValueError("reward must be finite")
         if self.initial_dist.shape != (s,):
             raise ValueError(f"initial_dist must have length {s}")
         check_probabilities(rows, "every transition row T[s, a, :]", axis=1)
@@ -186,6 +188,8 @@ class TransitionDataset:
         n = len(self.s)
         if not (len(self.a) == len(self.sp) == len(self.r) == n):
             raise ValueError("dataset columns must have equal length")
+        if not np.isfinite(self.r).all():
+            raise ValueError("rewards must be finite")
         if n and min(self.s.min(), self.a.min(), self.sp.min()) < 0:
             raise ValueError("state and action indices must be nonnegative")
         for name in ("labels", "trajectory_ids"):  # optional integer columns
@@ -367,10 +371,6 @@ def _draw(cum: np.ndarray, cols: np.ndarray, rows: np.ndarray, u: np.ndarray) ->
     return cols.take(rows * cols.shape[1] + k)
 
 
-# uniforms drawn at once by sample_trajectories: 2**19 doubles (4 MB)
-_UNIFORM_BUFFER = 1 << 19
-
-
 class SampleGroup(NamedTuple):
     """``num_traj`` rollouts of ``policy`` labeled ``label``, drawn from
     ``np.random.default_rng(seed)``."""
@@ -386,14 +386,13 @@ def sample_trajectories(mdp: TabularMDP, groups, horizon: int) -> list[Transitio
     (:class:`SampleGroup` or equal tuples) and return one dataset per group.
 
     A group's dataset holds its rollouts one after another, each in step
-    order, labeled with the group's label, with trajectory ids 0..n-1.
-    Every trajectory starts from the MDP's initial distribution.  Identical
-    seeds produce bit-identical output.  Each trajectory consumes 1 + 2 *
-    horizon uniforms from its group's generator in the order (initial state,
-    then action and next state per step), the group's trajectories one
-    after another.  The rollouts of all groups advance together in blocks,
-    one vectorized inverse-CDF draw per time step, with the groups' action
-    tables stacked; so a trajectory does not depend on the other groups.
+    order, labeled with the group's label, with trajectory ids 0..n-1; every
+    rollout starts from the MDP's initial distribution.  Equal seeds give
+    bit-identical output.  A rollout reads one row of 1 + 2 * horizon
+    uniforms from its group's generator (initial state, then action and next
+    state per step), the group's rows in stream order, all drawn up front.
+    Every group's rollouts advance together, one vectorized inverse-CDF draw
+    per step over the stacked action tables, so no group affects another.
     """
     groups = [SampleGroup(*group) for group in groups]
     num_states, num_actions = mdp.num_states, mdp.num_actions
@@ -404,38 +403,31 @@ def sample_trajectories(mdp: TabularMDP, groups, horizon: int) -> list[Transitio
     if not groups:
         return []
     counts = [group.num_traj for group in groups]
-    group_of = np.repeat(np.arange(len(groups)), counts)
-    rngs = [np.random.default_rng(group.seed) for group in groups]
+    bounds = list(pairwise(np.cumsum([0] + counts).tolist()))  # each group's rollouts
+    # one row of uniforms per rollout, each group's rows in its stream order
+    u = np.empty((sum(counts), 1 + 2 * horizon))
+    for group, (lo, hi) in zip(groups, bounds):
+        np.random.default_rng(group.seed).random(out=u[lo:hi])
     # group g's action row for state s is row g * S + s
     act_cum, act_cols, _ = support_cdf_table(np.concatenate([g.policy.probs for g in groups]))
+    act_rows = np.repeat(np.arange(len(groups)) * num_states, counts)
     next_cum, next_cols, _ = mdp.transition_cdf
-    init_cdf = np.cumsum(mdp.initial_dist)
-    width = 1 + 2 * horizon
-    block = max(1, _UNIFORM_BUFFER // width)
     # time-major: column i of paths is rollout i's states, ending with its last next state
-    paths = np.empty((horizon + 1, len(group_of)), dtype=np.int64)
-    actions = np.empty((horizon, len(group_of)), dtype=np.int64)
-    for first in range(0, len(group_of), block):
-        which = group_of[first:first + block]
-        path, acts = paths[:, first:first + block], actions[:, first:first + block]
-        u = np.empty((len(which), width))
-        ends = np.cumsum(np.bincount(which, minlength=len(groups))).tolist()
-        for rng, start, end in zip(rngs, [0] + ends, ends):
-            rng.random(out=u[start:end])  # the group's next rows, in stream order
-        act_rows = which * num_states
-        path[0] = np.minimum(np.searchsorted(init_cdf, u[:, 0], side="right"), num_states - 1)
-        for t in range(horizon):
-            s = path[t]
-            acts[t] = _draw(act_cum, act_cols, act_rows + s, u[:, 1 + 2 * t])
-            path[t + 1] = _draw(next_cum, next_cols, s * num_actions + acts[t], u[:, 2 + 2 * t])
+    paths = np.empty((horizon + 1, len(u)), dtype=np.int64)
+    actions = np.empty((horizon, len(u)), dtype=np.int64)
+    init_cdf = np.cumsum(mdp.initial_dist)
+    paths[0] = np.minimum(np.searchsorted(init_cdf, u[:, 0], side="right"), num_states - 1)
+    for t in range(horizon):
+        s = paths[t]
+        actions[t] = _draw(act_cum, act_cols, act_rows + s, u[:, 1 + 2 * t])
+        paths[t + 1] = _draw(next_cum, next_cols, s * num_actions + actions[t], u[:, 2 + 2 * t])
     states, nexts, actions = paths[:-1].T, paths[1:].T, actions.T
     rewards = mdp.reward[states, actions]
-    group_ends = np.cumsum(counts).tolist()
     return [TransitionDataset(states[lo:hi].ravel(), actions[lo:hi].ravel(),
                               nexts[lo:hi].ravel(), rewards[lo:hi].ravel(),
                               np.full((hi - lo) * horizon, group.label),
                               trajectory_ids=np.repeat(np.arange(hi - lo), horizon))
-            for group, lo, hi in zip(groups, [0] + group_ends, group_ends)]
+            for group, (lo, hi) in zip(groups, bounds)]
 
 
 # the valid range of each Q-learning parameter: (test, description)

@@ -57,16 +57,16 @@ def estimate_policy_mle(data: TransitionDataset, num_states: int,
     return TabularPolicy(probs)
 
 
-def kl_divergence_rows(p, q) -> float:
-    """KL divergence sum_a p(a) ln(p(a)/q(a)) with 0 ln 0 = 0.
-
-    Denominator probabilities are floored at 1e-12, so deterministic rows in
-    q never produce infinities.
+def kl_divergence_rows(p, q):
+    """KL divergence sum_a p(a) ln(p(a)/q(a)), 0 ln 0 = 0, over the last
+    axis: a float for vectors, one value per row for (n, A) tables.  p and q
+    are floored at ``KL_FLOOR`` = 1e-12 inside the log, so zeros in q give no
+    infinity, and a term with 0 < p(a) < 1e-12 reads p(a) ln(1e-12 / q(a)).
     """
     p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], KL_FLOOR))))
+    q = np.maximum(np.asarray(q, dtype=np.float64), KL_FLOOR)
+    divs = np.where(p > 0, p * np.log(np.maximum(p, KL_FLOOR) / q), 0.0).sum(axis=-1)
+    return divs if divs.ndim else float(divs)
 
 
 def compute_kl_weights(target: TabularPolicy, behaviors, states) -> WeightVector:
@@ -80,10 +80,7 @@ def compute_kl_weights(target: TabularPolicy, behaviors, states) -> WeightVector
     if len(behaviors) == 0 or len(states) == 0:
         raise ValueError("behaviors and states must be nonempty")
     t = target.probs[states]  # (n, A)
-    divs = np.empty((len(behaviors), len(states)))
-    for j, pol in enumerate(behaviors):
-        b = np.maximum(pol.probs[states], KL_FLOOR)
-        divs[j] = np.where(t > 0, t * np.log(np.maximum(t, KL_FLOOR) / b), 0.0).sum(axis=1)
+    divs = np.stack([kl_divergence_rows(t, pol.probs[states]) for pol in behaviors])
     winners = np.argmin(divs, axis=0)
     counts = np.bincount(winners, minlength=len(behaviors))
     return WeightVector(counts / len(states))

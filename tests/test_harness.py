@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -35,6 +36,10 @@ DATA = Path(__file__).resolve().parent / "data"
 GOLDEN_SINGLEPATH = DATA / "singlepath_seed0_records.csv"
 # all nine methods through the CLI, records.csv of each config at --seed 0
 GOLDEN_ALLMETHODS = ("allmethods_3behaviors", "allmethods_1behavior")
+# records.csv of `empbench run benchmark/configs/taxi-cell.cfg --seed 0`: the
+# CSR forms, the threaded solves and the 16- and 64-entry transition rows
+TAXI_CELL = REPO / "benchmark" / "configs" / "taxi-cell.cfg"
+GOLDEN_TAXI_CELL = DATA / "taxi_cell_seed0_records.csv"
 
 TINY_CONFIG = """
 environment = singlepath
@@ -271,6 +276,41 @@ class TestRunExperiment:
         parallel = run_experiment(cfg, master_seed=2, workers=2, measure_time=False)
         assert serial == parallel
 
+    def test_processes_are_capped_at_the_cells(self, monkeypatch):
+        # a fork pool starts all of its max_workers processes at the first
+        # submit, and each cell's solves share the CPUs among the processes
+        started, shares = [], []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        run_cell = harness._run_cell
+
+        def spy(args, workers=1):
+            shares.append(workers)
+            return run_cell(args, workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness, "_run_cell", spy)
+        cfg = parse_config(TINY_CONFIG)  # three cells
+        serial = run_experiment(cfg, master_seed=2, measure_time=False)
+        assert run_experiment(cfg, master_seed=2, workers=64, measure_time=False) == serial
+        assert started == [3] and shares == [1, 1, 1, 3, 3, 3]
+        started.clear()
+        shares.clear()
+        run_experiment(replace(cfg, seeds=1), master_seed=2, workers=8, measure_time=False)
+        assert started == [] and shares == [1]  # one cell runs in this process
+
     def test_negative_master_seed_rejected(self):
         cfg = parse_config(TINY_CONFIG)
         with pytest.raises(InvalidConfig):
@@ -487,6 +527,18 @@ class TestSummarizeMse:
             assert rows[m].mse_stderr == pytest.approx(
                 errs.std(ddof=1) / np.sqrt(len(errs)))
             assert rows[m].log10_mse == pytest.approx(np.log10(errs.mean()))
+
+    def test_zero_mean_is_minus_infinity_and_nan_mean_is_nan(self):
+        def log10_mse(error):
+            recs = [ResultRecord("singlepath", "emp", 5, 10, k, 0.5, 0.5, error, None, 0)
+                    for k in range(2)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                (row,) = summarize_mse(recs)
+            return row.log10_mse
+
+        assert log10_mse(0.0) == -math.inf
+        assert math.isnan(log10_mse(math.nan))
 
     def test_summarize_tv_ignores_missing(self):
         recs = [ResultRecord("singlepath", "emp", 5, 10, 0, 0.5, 0.6, 0.01, 0.2, 0),
@@ -730,6 +782,13 @@ solver.iters = 3000
         assert main(["run", str(REPO / "demos" / "singlepath.cfg"), "--seed", "0",
                      "--workers", str(workers), "--out", str(out)]) == 0
         assert (out / "records.csv").read_bytes() == GOLDEN_SINGLEPATH.read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_taxi_cell_matches_golden_records(self, tmp_path, workers):
+        out = tmp_path / "out"
+        assert main(["run", str(TAXI_CELL), "--seed", "0", "--workers", str(workers),
+                     "--out", str(out)]) == 0
+        assert (out / "records.csv").read_bytes() == GOLDEN_TAXI_CELL.read_bytes()
 
 
 def small_taxi_config(methods):

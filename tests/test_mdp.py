@@ -87,6 +87,10 @@ CHECKED_VALUES = {
     "state distribution": ([0.3, 0.7], StateDistribution),
     "record weights": ([1.0, 2.0], lambda v: TransitionDataset(
         s=[0, 1], a=[0, 1], sp=[1, 0], r=[0.0, 1.0], weights=v)),
+    "reward table": (np.zeros((2, 2)), lambda v: TabularMDP(np.full((2, 2, 2), 0.5), v,
+                                                             [0.5, 0.5])),
+    "record rewards": ([0.0, -1.0], lambda v: TransitionDataset(
+        s=[0, 1], a=[0, 1], sp=[1, 0], r=v)),
     "mixture weights": ([0.4, 0.6], WeightVector),
     "heuristic table": ([[0.5, 1.0], [0.5, 0.0]], HeuristicTable),
     "state correction": ([1.0, 1.0], lambda v: CorrectionVector(
@@ -372,19 +376,15 @@ class TestSampling:
 
     @settings(max_examples=40, deadline=None)
     @given(shares=st.lists(st.integers(0, 4), min_size=1, max_size=4),
-           horizon=st.integers(1, 12), buffer=st.sampled_from([1, 40, 1 << 19]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_trajectories_are_contiguous_chains_of_horizon_steps(self, shares, horizon,
-                                                                 buffer, seed):
+           horizon=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_trajectories_are_contiguous_chains_of_horizon_steps(self, shares, horizon, seed):
         # each group's dataset numbers its trajectories 0..n-1, gives each
         # exactly `horizon` contiguous records and chains them: sp[i] == s[i+1]
         rng = np.random.default_rng(seed)
         mdp = random_mdp(rng, 5, 3)
         groups = [SampleGroup(random_soft_policy(rng, 5, 3), n, seed + j, j)
                   for j, n in enumerate(shares)]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mdp_module, "_UNIFORM_BUFFER", buffer)
-            parts = sample_trajectories(mdp, groups, horizon)
+        parts = sample_trajectories(mdp, groups, horizon)
         assert len(parts) == len(groups)
         for data, group in zip(parts, groups):
             ids = data.trajectory_ids
@@ -476,15 +476,6 @@ class TestSamplerMatchesPerStepReference:
         assert_same_trajectories(sample_trajectories(mdp, [SampleGroup(policy, 5, 3)], 40),
                                  [reference_sample_trajectories(mdp, policy, 5, 40, seed=3)])
 
-    def test_more_trajectories_than_one_block(self, monkeypatch):
-        # a 64-double buffer holds 3 trajectories of 1 + 2 * 10 uniforms,
-        # so 10 trajectories take three full blocks and a partial one
-        monkeypatch.setattr(mdp_module, "_UNIFORM_BUFFER", 64)
-        for k, mdp in enumerate(small_mdps()):
-            policy = uniform_policy(mdp.num_states, mdp.num_actions)
-            assert_same_trajectories(sample_trajectories(mdp, [SampleGroup(policy, 10, k)], 10),
-                                     [reference_sample_trajectories(mdp, policy, 10, 10, seed=k)])
-
     def test_taxi(self):
         mdp = build_taxi()
         policy = soften_policy(uniform_policy(mdp.num_states, mdp.num_actions), 0.2)
@@ -493,21 +484,17 @@ class TestSamplerMatchesPerStepReference:
 
     @settings(max_examples=40, deadline=None)
     @given(shares=st.lists(st.integers(0, 4), min_size=1, max_size=4),
-           horizon=st.integers(1, 12), buffer=st.sampled_from([1, 40, 1 << 19]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_groups_match_per_behavior_reference(self, shares, horizon, buffer, seed):
+           horizon=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_groups_match_per_behavior_reference(self, shares, horizon, seed):
         # one call for all groups returns each group's per-behavior rollouts in
         # group order; every other group is greedy, so the stacked action
-        # tables mix rows of one and of three nonzero entries, and a small
-        # buffer splits the rollouts into several blocks that cross groups
+        # tables mix rows of one and of three nonzero entries
         rng = np.random.default_rng(seed)
         mdp = random_mdp(rng, 5, 3)
         policies = [random_soft_policy(rng, 5, 3) for _ in shares]
         groups = [SampleGroup(greedy_policy(p) if j % 2 else p, n, seed + j, j)
                   for j, (p, n) in enumerate(zip(policies, shares))]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mdp_module, "_UNIFORM_BUFFER", buffer)
-            got = sample_trajectories(mdp, groups, horizon)
+        got = sample_trajectories(mdp, groups, horizon)
         expected = [reference_sample_trajectories(mdp, policy, n, horizon,
                                                   seed=group_seed, label=label)
                     for policy, n, group_seed, label in groups]
