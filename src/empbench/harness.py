@@ -433,7 +433,8 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int = 0, workers: int = 1
     cell see the same dataset.  The cells run in min(``workers``, cells)
     processes, in this one when that is 1.  Inside a cell, the solves of
     forms stored as CSR run on max(1, usable CPUs // processes) threads,
-    made per cell; dense forms are solved serially.  Results are identical to the serial run.
+    made per cell; dense forms are solved serially.  Results are identical
+    to the serial run.
     With ``measure_time``, a record's ``wall_time_ms`` covers its method's
     assembly and estimate plus the durations of its own solves, which may
     have overlapped other methods' solves.
