@@ -27,7 +27,7 @@ from .mdp import (MissingLabel, NonErgodicChain, SampleGroup, StateDistribution,
                   soften_policy, stationary_distribution, train_q_learning_policy,
                   uniform_policy)
 from .policies import (WeightVector, compute_kl_weights, empirical_state_distribution,
-                       estimate_policy_mle, exact_mixed_policy, kl_divergence_rows)
+                       estimate_policy_mle, kl_divergence_rows)
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,7 @@ __all__ = [
     "assemble_state_action_quadratic", "assemble_state_quadratic", "average_reward",
     "balanced_heuristic", "build_environment", "build_gridworld", "build_singlepath",
     "build_taxi", "compute_kl_weights", "emit_csv", "empirical_state_distribution",
-    "estimate_policy_mle", "exact_mixed_policy", "greedy_policy", "importance_ratios",
+    "estimate_policy_mle", "greedy_policy", "importance_ratios",
     "kl_divergence_rows", "learn_bch", "learn_emp", "learn_sadl", "load_config",
     "mis_reward_estimate", "parse_config", "population_dataset", "ratio_reward_estimate",
     "read_records_csv", "run_experiment", "run_method", "sadl_reward_estimate",

@@ -54,8 +54,8 @@ class KernelSpec:
     respective index sets; they are universal on finite spaces and admit
     grouped O(N) assembly.  ``gaussian-on-embedding`` is
     exp(-||e(x) - e(y)||^2 / (2 h^2)) over one-hot state embeddings (actions
-    appended one-hot for state-action use); it requires a dense Gram matrix
-    and is intended for small problems.
+    appended one-hot for state-action use), which is a delta kernel on a
+    lifted index set (see :meth:`lift`): every form is one factor's product.
     """
 
     kind: str = "state-delta"
@@ -82,19 +82,24 @@ class KernelSpec:
     def gaussian(cls, bandwidth: float) -> "KernelSpec":
         return cls("gaussian-on-embedding", bandwidth)
 
-    def gram(self, num_states: int, num_actions: int | None = None) -> np.ndarray:
-        """Dense Gram matrix over states, or over (s, a) pairs indexed
-        s * A + a when ``num_actions`` is given (gaussian kernel only).
-        One-hot embeddings differ by a squared distance of 0 or 2 in each
-        part, so entries are exp(-(2[s != s'] + 2[a != a']) / (2 h^2))."""
-        differing = 1 - np.eye(num_states, dtype=np.uint8)  # parts that differ
-        if num_actions is not None:
-            dim = num_states * num_actions
-            action_differs = 1 - np.eye(num_actions, dtype=np.uint8)
-            differing = (differing[:, None, :, None]
-                         + action_differs[None, :, None, :]).reshape(dim, dim)
-        levels = np.exp(-2.0 * np.arange(3) / (2.0 * self.bandwidth**2))
-        return levels[differing]
+    def lift(self, tests, others, vals, sizes):
+        """Factor entries (test index, other index, value), lifted so that the
+        plain product ``left @ left.T`` is the kernel's form, and the number of
+        test indices; a test index has the parts ``sizes``, (S,) or (S, A).
+        Delta kernels return their inputs.  The gaussian kernel of a one-hot
+        part is (1 - q)[x = y] + q, q = exp(-1 / h^2): each entry moves to its
+        own index with weight sqrt(1 - q) and to the shared index ``size`` with
+        weight sqrt(q); a pair's lifted index is s_l * (A + 1) + a_l."""
+        if self.kind != "gaussian-on-embedding":
+            return tests, others, vals, math.prod(sizes)
+        q = math.exp(-1.0 / self.bandwidth**2)
+        own, shared = math.sqrt(1.0 - q), math.sqrt(q)
+        lifted, weighted = np.zeros((1, len(tests)), dtype=np.int64), vals[None, :]
+        for part, size in zip(np.unravel_index(tests, sizes), sizes):
+            lifted = np.concatenate([lifted * (size + 1) + part, lifted * (size + 1) + size])
+            weighted = np.concatenate([own * weighted, shared * weighted])
+        return (lifted.ravel(), np.tile(others, len(lifted)), weighted.ravel(),
+                math.prod(size + 1 for size in sizes))
 
 
 @dataclass
@@ -199,29 +204,22 @@ def importance_ratios(data: TransitionDataset, target: TabularPolicy,
     return target.probs[data.s, data.a] / np.maximum(denom, RATIO_FLOOR)
 
 
-def _factor(vals, rows, cols, dim: int):
-    """The residual factor: the (dim, dim) matrix holding the sum of ``vals``
-    at each (row, col).  Below ``SPARSE_MIN_DIM`` it is dense, each entry's
-    terms added in input order by ``np.bincount``; otherwise CSR, through
-    scipy's COO to CSR conversion."""
-    if dim < SPARSE_MIN_DIM:
-        return np.bincount(rows * dim + cols, weights=vals,
-                           minlength=dim * dim).reshape(dim, dim)
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+def _factor(vals, rows, cols, shape):
+    """The residual factor: the matrix of ``shape`` holding the sum of ``vals``
+    at each (row, col).  A square (delta-kernel) factor of at least
+    ``SPARSE_MIN_DIM`` variables is CSR, through scipy's COO to CSR
+    conversion; any other is dense, each entry's terms added in input order by
+    ``np.bincount``: a lifted factor's shared index makes its form dense."""
+    if shape[0] == shape[1] >= SPARSE_MIN_DIM:
+        return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+    return np.bincount(rows * shape[1] + cols, weights=vals,
+                       minlength=math.prod(shape)).reshape(shape)
 
 
-def _kernel_quadratic(left, kernel: KernelSpec, gram, w_total: float) -> QuadraticForm:
-    """The symmetric form left K left' / W^2 of the factor ``left``, dense or
-    CSR (see :func:`_factor`): K is ``gram()``, a dense Gram matrix, for the
-    gaussian kernel, and the identity for the delta kernels, whose form is
-    ``left @ left.T``, exactly symmetric both as BLAS ``syrk`` and SpGEMM."""
-    if kernel.kind == "gaussian-on-embedding":
-        dense = left if isinstance(left, np.ndarray) else left.toarray()
-        mat = dense @ gram() @ dense.T
-        mat = 0.5 * (mat + mat.T)
-    else:
-        mat = left @ left.T
-    return QuadraticForm(mat, left.shape[0], scale=1.0 / w_total**2)
+def _kernel_quadratic(left, w_total: float) -> QuadraticForm:
+    """The form left left' / W^2 of the factor ``left`` (a row per variable),
+    dense or CSR: one product, exactly symmetric as BLAS ``syrk`` and SpGEMM."""
+    return QuadraticForm(left @ left.T, left.shape[0], scale=1.0 / w_total**2)
 
 
 def assemble_state_quadratic(data: TransitionDataset, target: TabularPolicy,
@@ -243,14 +241,14 @@ def assemble_state_quadratic(data: TransitionDataset, target: TabularPolicy,
     rho = importance_ratios(data, target, denom_policy)
     # Each record contributes the linear-in-omega residual
     # rho_i omega(s_i) - omega(s'_i), paired through the kernel at the next
-    # states.  Rows of C group records by next state, so A = C' K C / W^2
-    # never materializes an N x N Gram matrix.
+    # states.  Rows of C group records by (lifted) next state, so
+    # A = C' C / W^2 never materializes an N x N Gram matrix.
     rows = np.concatenate([data.sp, data.sp])
     cols = np.concatenate([data.s, data.sp])
     vals = np.concatenate([data.weights * rho, -data.weights])
-    c = _factor(vals, rows, cols, num_states)
-    return _kernel_quadratic(c.T, kernel, lambda: kernel.gram(num_states),
-                             float(data.weights.sum()))
+    rows, cols, vals, width = kernel.lift(rows, cols, vals, (num_states,))
+    c = _factor(vals, rows, cols, (width, num_states))
+    return _kernel_quadratic(c.T, float(data.weights.sum()))
 
 
 def assemble_state_action_quadratic(data: TransitionDataset, target: TabularPolicy,
@@ -284,9 +282,9 @@ def assemble_state_action_quadratic(data: TransitionDataset, target: TabularPoli
                             + np.arange(num_actions)[None, :]).ravel()])
     vals = np.concatenate([data.weights * nu[data.a],
                            (-(data.weights * pi_sa)[:, None] * nu[None, :]).ravel()])
-    m = _factor(vals, rows, cols, dim)
-    return _kernel_quadratic(m, kernel, lambda: kernel.gram(num_states, num_actions),
-                             float(data.weights.sum()))
+    cols, rows, vals, width = kernel.lift(cols, rows, vals, (num_states, num_actions))
+    m = _factor(vals, rows, cols, (dim, width))
+    return _kernel_quadratic(m, float(data.weights.sum()))
 
 
 def _lambda_max(matrix, dim: int) -> float:

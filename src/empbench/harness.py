@@ -300,11 +300,11 @@ def _assemble_state_method(spec: StateMethod, target, behaviors, data: Transitio
             fits.append((j, denom, assemble_bch(sub, target, denom, kernel)))
     if spec.grouping == "mis":
         num_states = target.num_states
-        counts = np.array([len(sub) for sub in groups], dtype=np.float64)
+        totals = np.array([sub.weights.sum() for sub in groups])
         uniform = StateDistribution(np.full(num_states, 1.0 / num_states))
         dists = [empirical_state_distribution(sub, num_states) if len(sub) else uniform
                  for sub in groups]
-        heur = balanced_heuristic(WeightVector(counts / counts.sum()), dists)
+        heur = balanced_heuristic(WeightVector(totals / totals.sum()), dists)
 
     def estimate(solutions):
         omegas = {j: problem.correction(x) for (j, _, problem), x in zip(fits, solutions)}

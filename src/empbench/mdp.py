@@ -160,6 +160,15 @@ class StateDistribution:
         check_probabilities(self.probs, "state distribution", atol=1e-9)
 
 
+def _index_column(values, name: str) -> np.ndarray:
+    """``values`` as int64; values of a non-integer dtype must be integral."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu" and not np.all(np.isfinite(values)
+                                                    & (np.trunc(values) == values)):
+        raise ValueError(f"{name} must hold integer values")
+    return values.astype(np.int64, copy=False)
+
+
 @dataclass
 class TransitionDataset:
     """Flat collection of logged transitions.
@@ -181,9 +190,8 @@ class TransitionDataset:
     trajectory_ids: np.ndarray | None = None
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=np.int64)
-        self.a = np.asarray(self.a, dtype=np.int64)
-        self.sp = np.asarray(self.sp, dtype=np.int64)
+        for name in ("s", "a", "sp"):
+            setattr(self, name, _index_column(getattr(self, name), name))
         self.r = np.asarray(self.r, dtype=np.float64)
         n = len(self.s)
         if not (len(self.a) == len(self.sp) == len(self.r) == n):
@@ -194,7 +202,7 @@ class TransitionDataset:
             raise ValueError("state and action indices must be nonnegative")
         for name in ("labels", "trajectory_ids"):  # optional integer columns
             if getattr(self, name) is not None:
-                setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+                setattr(self, name, _index_column(getattr(self, name), name))
                 if len(getattr(self, name)) != n:
                     raise ValueError(f"{name} must have one entry per record")
         if n and self.trajectory_ids is not None and self.trajectory_ids.min() < 0:
@@ -597,6 +605,8 @@ def population_dataset(mdp: TabularMDP, behaviors, weights=None) -> TransitionDa
     if isinstance(behaviors, TabularPolicy):
         behaviors = [behaviors]
     m = len(behaviors)
+    if m == 0:
+        raise ValueError("population_dataset needs at least one behavior")
     if weights is None:
         weights = np.full(m, 1.0 / m)
     weights = np.asarray(weights, dtype=np.float64)

@@ -2,9 +2,8 @@
 
 Pooled logged data from several behavior policies looks, in distribution,
 like data from a single stationary-distribution-weighted mixture of them.
-This module estimates that mixture by maximum likelihood (count frequency),
-computes KL-divergence based mixture weights, and provides the exact mixed
-policy as an oracle.
+This module estimates that mixture by maximum likelihood (count frequency)
+and computes KL-divergence based mixture weights.
 """
 
 import numpy as np
@@ -84,24 +83,6 @@ def compute_kl_weights(target: TabularPolicy, behaviors, states) -> WeightVector
     winners = np.argmin(divs, axis=0)
     counts = np.bincount(winners, minlength=len(behaviors))
     return WeightVector(counts / len(states))
-
-
-def exact_mixed_policy(behaviors, weights: WeightVector, stationary_dists) -> TabularPolicy:
-    """The stationary-distribution-weighted average of the behavior policies:
-    pi0(a|s) = sum_j [w_j d_j(s) / sum_k w_k d_k(s)] pi_j(a|s).
-
-    States where every w_j d_j(s) vanishes get uniform rows.
-    """
-    if not (len(behaviors) == len(weights) == len(stationary_dists) >= 1):
-        raise ValueError("behaviors, weights and stationary_dists must have equal length >= 1")
-    num_states, num_actions = behaviors[0].probs.shape
-    mass = np.stack([w * d.probs for w, d in zip(weights.weights, stationary_dists)])
-    denom = mass.sum(axis=0)
-    probs = np.full((num_states, num_actions), 1.0 / num_actions)
-    ok = denom > 0
-    mixed = sum(mass[j][:, None] * behaviors[j].probs for j in range(len(behaviors)))
-    probs[ok] = mixed[ok] / denom[ok, None]
-    return TabularPolicy(probs)
 
 
 def empirical_state_distribution(data: TransitionDataset, num_states: int) -> StateDistribution:

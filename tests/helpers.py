@@ -6,7 +6,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from empbench import (StateDistribution, TabularMDP, TabularPolicy, TransitionDataset,
-                      importance_ratios, stationary_distribution)
+                      WeightVector, importance_ratios, stationary_distribution)
 from empbench.mdp import chain_matrix
 
 
@@ -103,6 +103,26 @@ def one_hot_gaussian_gram(bandwidth, num_states, num_actions=None):
                          np.tile(np.eye(num_actions), (num_states, 1))])
     sq = np.sum((emb[:, None, :] - emb[None, :, :]) ** 2, axis=2)
     return np.exp(-sq / (2.0 * bandwidth**2))
+
+
+def exact_mixed_policy(behaviors, weights: WeightVector, stationary_dists) -> TabularPolicy:
+    """The stationary-distribution-weighted average of the behavior policies:
+    pi0(a|s) = sum_j [w_j d_j(s) / sum_k w_k d_k(s)] pi_j(a|s).
+
+    States where every w_j d_j(s) vanishes get uniform rows.  Oracle for the
+    maximum-likelihood estimate on pooled data.
+    """
+    if not (len(behaviors) == len(weights) == len(stationary_dists) >= 1):
+        raise ValueError("behaviors, weights and stationary_dists must have equal length >= 1")
+    num_states, num_actions = behaviors[0].probs.shape
+    mass = np.stack([w * d.probs for w, d in zip(weights.weights, stationary_dists)])
+    denom = mass.sum(axis=0)
+    probs = np.full((num_states, num_actions), 1.0 / num_actions)
+    ok = denom > 0
+    mixed = sum(mass[j][:, None] * behaviors[j].probs for j in range(len(behaviors)))
+    probs[ok] = mixed[ok] / denom[ok, None]
+    return TabularPolicy(probs)
+
 
 def _reference_draw(cdf_cache, table, key, rng) -> int:
     cdf = cdf_cache.get(key)
@@ -282,6 +302,23 @@ def reference_delta_factors(data, target, denom, nu, num_states, num_actions):
     vals = np.concatenate([data.weights * nu[data.a],
                            (-(data.weights * pi_sa)[:, None] * nu[None, :]).ravel()])
     return sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+
+
+def reference_gaussian_form(data, target, denom, nu, num_states, num_actions, bandwidth):
+    """Frozen copy of the original gaussian-kernel form: the factor of
+    :func:`reference_delta_factors` densified, multiplied through the dense
+    Gram matrix as left K left', then symmetrized.  K is read off a table of
+    the number of parts (state, action) in which two indices differ."""
+    left = reference_delta_factors(data, target, denom, nu, num_states, num_actions).toarray()
+    differing = 1 - np.eye(num_states, dtype=np.uint8)
+    if nu is not None:
+        dim = num_states * num_actions
+        action_differs = 1 - np.eye(num_actions, dtype=np.uint8)
+        differing = (differing[:, None, :, None]
+                     + action_differs[None, :, None, :]).reshape(dim, dim)
+    gram = np.exp(-2.0 * np.arange(3) / (2.0 * bandwidth**2))[differing]
+    mat = left @ gram @ left.T
+    return 0.5 * (mat + mat.T)
 
 
 def reference_policy_mle(data, num_states, num_actions):

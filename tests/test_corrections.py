@@ -1,6 +1,8 @@
+import math
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,16 +13,17 @@ from empbench import corrections
 from empbench import (CorrectionVector, DegenerateReference, KernelSpec, QuadraticForm,
                       SampleGroup, SolverParams, TabularPolicy, TransitionDataset,
                       assemble_state_action_quadratic, assemble_state_quadratic,
-                      build_gridworld, build_singlepath, build_taxi, importance_ratios,
-                      learn_bch, learn_emp, learn_sadl, population_dataset, sample_trajectories,
-                      solve_normalized_quadratic, stationary_distribution, tv_distance)
+                      build_environment, build_gridworld, build_singlepath, build_taxi,
+                      importance_ratios, learn_bch, learn_emp, learn_sadl, population_dataset,
+                      sample_trajectories, solve_normalized_quadratic, stationary_distribution,
+                      tv_distance)
 from empbench.harness import ExperimentConfig, PolicySpec, generate_cell_data, make_policies
 from empbench.policies import empirical_state_distribution, estimate_policy_mle
 
 from helpers import (naive_state_action_objective, naive_state_quadratic,
                      one_hot_gaussian_gram, random_mdp, random_policy, random_soft_policy,
                      reference_delta_factors, reference_delta_quadratic,
-                     reference_pgd_solve, stationary_start)
+                     reference_gaussian_form, reference_pgd_solve, stationary_start)
 
 
 def random_dataset(rng, num_states, num_actions, n, unit_weights=True):
@@ -182,25 +185,66 @@ class TestStateActionQuadratic:
 
 
 class TestGaussianGram:
+    """The gaussian kernel is the plain product of its lift, L L'."""
+
     @pytest.mark.parametrize("num_states", [5, 16])
     @pytest.mark.parametrize("num_actions", [None, 2, 4])
     @pytest.mark.parametrize("bandwidth", [0.3, 1.0, 2.7])
     def test_matches_one_hot_embedding(self, num_states, num_actions, bandwidth):
-        gram = KernelSpec.gaussian(bandwidth).gram(num_states, num_actions)
+        sizes = (num_states,) if num_actions is None else (num_states, num_actions)
+        index = np.arange(math.prod(sizes))
+        tests, rows, vals, width = KernelSpec.gaussian(bandwidth).lift(
+            index, index, np.ones(len(index)), sizes)
+        assert width == math.prod(size + 1 for size in sizes)
+        lift = np.zeros((len(index), width))
+        np.add.at(lift, (rows, tests), vals)
         oracle = one_hot_gaussian_gram(bandwidth, num_states, num_actions)
-        assert gram.dtype == oracle.dtype and np.array_equal(gram, oracle)
+        np.testing.assert_allclose(lift @ lift.T, oracle, rtol=0, atol=1e-15)
 
-    def test_taxi_sized_state_gram_stays_small(self):
-        # an explicit embedding difference tensor would take 64 GB here
+    @pytest.mark.parametrize("kernel", [KernelSpec.state_delta(),
+                                        KernelSpec.state_action_delta()])
+    def test_delta_kernels_return_their_inputs(self, kernel):
+        tests, others, vals = np.array([2, 0, 5]), np.array([1, 1, 3]), np.ones(3)
+        lifted = kernel.lift(tests, others, vals, (3, 2))
+        assert lifted[0] is tests and lifted[1] is others and lifted[2] is vals
+        assert lifted[3] == 6
+
+    @pytest.mark.parametrize("environment", ["singlepath", "gridworld"])
+    @pytest.mark.parametrize("bandwidth", [0.5, 1.0, 3.0])
+    def test_forms_match_the_dense_gram_path(self, environment, bandwidth):
+        mdp = build_environment(environment)
+        num_states, num_actions = mdp.num_states, mdp.num_actions
+        rng = np.random.default_rng(int(10 * bandwidth))
+        behavior = random_soft_policy(rng, num_states, num_actions)
+        target = random_soft_policy(rng, num_states, num_actions)
+        [data] = sample_trajectories(mdp, [SampleGroup(behavior, 4, 7)], 50)
+        data = replace(data, weights=rng.random(len(data)) + 0.5)
+        kernel, nu = KernelSpec.gaussian(bandwidth), np.full(num_actions, 1 / num_actions)
+        forms = [(assemble_state_quadratic(data, target, behavior, kernel, num_states),
+                  reference_gaussian_form(data, target, behavior, None, num_states,
+                                          num_actions, bandwidth)),
+                 (assemble_state_action_quadratic(data, target, nu, kernel, num_states,
+                                                  num_actions),
+                  reference_gaussian_form(data, target, None, nu, num_states, num_actions,
+                                          bandwidth))]
+        for qf, frozen in forms:
+            assert isinstance(qf.entries, np.ndarray)
+            assert np.array_equal(qf.matrix, qf.matrix.T)
+            assert np.abs(qf.matrix - frozen).max() <= 1e-12 * np.abs(frozen).max()
+
+    def test_taxi_sized_state_form_stays_small(self, taxi_cell):
+        # the dense Gram path this replaced peaked at 98 MB here
+        mdp, target, behaviors, data = taxi_cell
         tracemalloc.start()
         try:
-            gram = KernelSpec.gaussian(1.0).gram(2000)
+            qf = assemble_state_quadratic(data, target, behaviors, KernelSpec.gaussian(1.0),
+                                          2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100e6
-        assert gram.shape == (2000, 2000)
-        assert np.all(np.diag(gram) == 1.0) and gram[0, 1] == np.exp(-1.0)
+        assert peak < 85e6
+        assert isinstance(qf.entries, np.ndarray) and qf.dim == 2000
+
 
 @pytest.fixture(scope="module")
 def taxi_cell():
@@ -220,9 +264,9 @@ def assemble_with_factor(monkeypatch, assemble, *args):
     factors = []
     kernel_quadratic = corrections._kernel_quadratic
 
-    def capture(left, *rest):
+    def capture(left, w_total):
         factors.append(left)
-        return kernel_quadratic(left, *rest)
+        return kernel_quadratic(left, w_total)
 
     monkeypatch.setattr(corrections, "_kernel_quadratic", capture)
     return assemble(*args), factors[0]

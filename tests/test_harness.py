@@ -421,6 +421,25 @@ class TestRunMethod:
         est2, _ = run_method(method, target, behaviors, permuted, kernel, solver)
         assert est2 == pytest.approx(est, rel=1e-6)
 
+    @pytest.mark.parametrize("method", [m for m in METHOD_NAMES if m != "wis"])
+    @pytest.mark.parametrize("data_seed", [0, 1])
+    def test_splitting_records_into_half_weights_changes_no_estimate(self, method, data_seed):
+        # each label-0 record becomes two records of half its weight: every
+        # weighted sum is the same up to its order of addition, so only the
+        # solver's last bits move (see the permutation test).  mis used to
+        # weigh each label by its record count and moved by 3 %.  wis is
+        # left out: it reads trajectories step by step.
+        mdp, target, behaviors = behavior_setup("gridworld")
+        data = generate_cell_data(mdp, behaviors, 4, 40, data_seed)
+        copies = np.where(data.labels == 0, 2, 1)
+        split = data.subset(np.repeat(np.arange(len(data)), copies))
+        split = replace(split, weights=split.weights / np.repeat(copies, copies))
+        assert len(split) > len(data) and split.weights.sum() == data.weights.sum()
+        kernel, solver = KernelSpec.state_delta(), SolverParams(iters=2000)
+        est, _ = run_method(method, target, behaviors, data, kernel, solver)
+        est2, _ = run_method(method, target, behaviors, split, kernel, solver)
+        assert est2 == pytest.approx(est, rel=1e-6)
+
     @settings(max_examples=25, deadline=None)
     @given(method=st.sampled_from(METHOD_NAMES),
            environment=st.sampled_from(["singlepath", "gridworld"]),

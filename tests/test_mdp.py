@@ -69,6 +69,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="must be nonnegative"):
             TransitionDataset(**columns)
 
+    @pytest.mark.parametrize("column", ["s", "a", "sp", "labels", "trajectory_ids"])
+    @pytest.mark.parametrize("values", [[0.7, 1.9], [0.0, np.nan], [0.0, np.inf]])
+    def test_non_integral_index_raises(self, column, values):
+        # these used to be truncated: [0.7, 1.9] was read as [0, 1]
+        columns = dict(s=[0, 1], a=[0, 1], sp=[1, 0], r=[0.0, 0.0])
+        columns[column] = values
+        with pytest.raises(ValueError, match=f"{column} must hold integer values"):
+            TransitionDataset(**columns)
+
+    def test_integral_floats_are_indices(self):
+        data = TransitionDataset(s=[0.0, 1.0], a=[0, 1], sp=[1, 0], r=[0.0, 0.0],
+                                 labels=np.array([1.0, 0.0]))
+        assert data.s.dtype == data.labels.dtype == np.int64
+        assert data.s.tolist() == [0, 1] and data.labels.tolist() == [1, 0]
+
     def test_dataset_default_weights_are_one(self):
         data = TransitionDataset(s=[0], a=[0], sp=[1], r=[0.0])
         assert data.weights.tolist() == [1.0]
@@ -775,6 +790,11 @@ class TestPopulationDataset:
         with pytest.raises(ValueError, match=rf"shape \({len(weights)},\); "
                                              rf"{num_behaviors} behaviors"):
             population_dataset(build_singlepath(), behaviors, weights)
+
+    def test_no_behaviors_raises(self):
+        # used to divide by zero
+        with pytest.raises(ValueError, match="at least one behavior"):
+            population_dataset(build_singlepath(), [])
 
     def test_mixture_of_two_behaviors(self):
         rng = np.random.default_rng(8)

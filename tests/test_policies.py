@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from empbench import (SampleGroup, TabularPolicy, TransitionDataset, WeightVector,
                       build_singlepath, compute_kl_weights, empirical_state_distribution,
-                      estimate_policy_mle, exact_mixed_policy, kl_divergence_rows,
-                      sample_trajectories, stationary_distribution, uniform_policy)
+                      estimate_policy_mle, kl_divergence_rows, sample_trajectories,
+                      stationary_distribution, uniform_policy)
 
-from helpers import random_policy, reference_policy_mle, stationary_start
+from helpers import exact_mixed_policy, random_policy, reference_policy_mle, stationary_start
 
 
 class TestEstimatePolicyMle:
