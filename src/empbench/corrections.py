@@ -234,8 +234,6 @@ def assemble_state_quadratic(data: TransitionDataset, target: TabularPolicy,
     where rho_i = pi(a_i|s_i) / denom(a_i|s_i) (see :func:`importance_ratios`)
     and W = sum_i w_i.
     """
-    if len(data) == 0:
-        raise ValueError("dataset must be nonempty")
     if kernel.kind == "state-action-delta":
         raise ValueError(f"kernel kind {kernel.kind!r} is not a state kernel")
     rho = importance_ratios(data, target, denom_policy)
@@ -248,7 +246,7 @@ def assemble_state_quadratic(data: TransitionDataset, target: TabularPolicy,
     vals = np.concatenate([data.weights * rho, -data.weights])
     rows, cols, vals, width = kernel.lift(rows, cols, vals, (num_states,))
     c = _factor(vals, rows, cols, (width, num_states))
-    return _kernel_quadratic(c.T, float(data.weights.sum()))
+    return _kernel_quadratic(c.T, data.total_weight())
 
 
 def assemble_state_action_quadratic(data: TransitionDataset, target: TabularPolicy,
@@ -264,8 +262,6 @@ def assemble_state_action_quadratic(data: TransitionDataset, target: TabularPoli
     over actions.  ``action_weighting`` nu is any probability vector over
     actions.
     """
-    if len(data) == 0:
-        raise ValueError("dataset must be nonempty")
     if kernel.kind == "state-delta":
         raise ValueError("state-action assembly needs a state-action kernel")
     nu = np.asarray(action_weighting, dtype=np.float64)
@@ -284,7 +280,7 @@ def assemble_state_action_quadratic(data: TransitionDataset, target: TabularPoli
                            (-(data.weights * pi_sa)[:, None] * nu[None, :]).ravel()])
     cols, rows, vals, width = kernel.lift(cols, rows, vals, (num_states, num_actions))
     m = _factor(vals, rows, cols, (dim, width))
-    return _kernel_quadratic(m, float(data.weights.sum()))
+    return _kernel_quadratic(m, data.total_weight())
 
 
 def _lambda_max(matrix, dim: int) -> float:

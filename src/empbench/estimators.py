@@ -51,20 +51,16 @@ def ratio_reward_estimate(data: TransitionDataset, omega: CorrectionVector,
     of per-label policies for pooled policy-aware data.  ``omega`` may be a
     learned correction or a plain per-state ratio array (oracle use).
     """
-    if len(data) == 0:
-        raise ValueError("dataset must be nonempty")
     rho = importance_ratios(data, target, denom_policy)
     terms = data.weights * _correction_values(omega)[data.s] * rho * data.r
-    return float(terms.sum() / data.weights.sum())
+    return float(terms.sum() / data.total_weight())
 
 
 def sadl_reward_estimate(data: TransitionDataset, u: StateActionCorrection,
                          target: TabularPolicy) -> float:
     """Weighted average of u(s, a) * pi(a|s) * r; no behavior policy needed."""
-    if len(data) == 0:
-        raise ValueError("dataset must be nonempty")
     terms = data.weights * u.values[data.s, data.a] * target.probs[data.s, data.a] * data.r
-    return float(terms.sum() / data.weights.sum())
+    return float(terms.sum() / data.total_weight())
 
 
 def balanced_heuristic(weights: WeightVector, stationary_dists) -> HeuristicTable:
@@ -84,8 +80,8 @@ def balanced_heuristic(weights: WeightVector, stationary_dists) -> HeuristicTabl
 def mis_reward_estimate(data: TransitionDataset, per_policy_omegas,
                         per_policy_behaviors, target: TabularPolicy,
                         heuristics: HeuristicTable) -> float:
-    """Multiple importance sampling: the sum over labels j with records of
-    :func:`ratio_reward_estimate` on their records with h_j * omega_j and pi_j:
+    """Multiple importance sampling: the sum, over labels j whose records weigh
+    anything, of :func:`ratio_reward_estimate` on them with h_j * omega_j and pi_j:
 
     sum_j (1/W_j) sum_{i: label=j} w_i h_j(s_i) omega_j(s_i)
                   pi(a_i|s_i)/pi_j(a_i|s_i) r_i
@@ -94,11 +90,12 @@ def mis_reward_estimate(data: TransitionDataset, per_policy_omegas,
     per-state ratio array (oracle use).
     """
     labels = data.require_labels(len(per_policy_behaviors))
+    data.total_weight()
     total = 0.0
     for j, (omega, behavior) in enumerate(zip(per_policy_omegas, per_policy_behaviors,
                                               strict=True)):
         sub = data.subset(labels == j)
-        if len(sub):
+        if sub.weights.any():
             total += ratio_reward_estimate(sub, heuristics.h[j] * _correction_values(omega),
                                            target, behavior)
     return total
@@ -115,8 +112,7 @@ def stepwise_wis_estimate(data: TransitionDataset, target: TabularPolicy, behavi
     and :meth:`TransitionDataset.concatenate` keeps them.  Products are
     accumulated in log space so long horizons cannot overflow.
     """
-    if len(data) == 0:
-        raise ValueError("dataset must be nonempty")
+    data.total_weight()
     if data.trajectory_ids is None:
         raise ValueError("step-wise WIS requires per-record trajectory ids")
     new_trajectory = np.diff(data.trajectory_ids) != 0

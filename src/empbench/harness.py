@@ -48,8 +48,9 @@ class StateMethod:
     ``"exact"`` (each record's behavior) or ``"mle"`` (count-frequency
     estimate from the data the correction is learned on).  ``grouping``:
     ``"pooled"`` (one correction), ``"mean"`` (one per label, estimates
-    averaged) or ``"mis"`` (one per label, balanced heuristic).  ``kl``:
-    KL-proximity weights replace the labels' sample proportions."""
+    averaged) or ``"mis"`` (one per label, balanced heuristic).  ``kl``
+    (pooled rows only): KL-proximity weights replace the labels' sample
+    proportions."""
 
     denominator: str
     grouping: str
@@ -256,68 +257,61 @@ def generate_cell_data(mdp, behaviors, num_traj: int, horizon: int, data_seed: i
     return TransitionDataset.concatenate(sample_trajectories(mdp, groups, horizon))
 
 
-def _kl_reweighted(spec: StateMethod, data: TransitionDataset, target, behaviors):
-    """``data`` with the sample proportions N_j/N of the labels that have
-    records replaced by KL-proximity weights over those labels' policies
-    (exact, or estimated per label by maximum likelihood)."""
-    labels = data.labels
-    present = np.unique(labels)
+def _kl_reweighted(spec: StateMethod, data: TransitionDataset, parts, totals, target,
+                   behaviors):
+    """``data`` with the sample proportions W_j/W of the labels whose records
+    (``parts``, summed weights ``totals``) weigh anything replaced by KL-proximity
+    weights over those labels' policies, exact or estimated by maximum
+    likelihood, at the states of the records that weigh anything."""
+    present = np.flatnonzero(totals > 0)
     if spec.denominator == "exact":
         policies = [behaviors[j] for j in present]
     else:
-        policies = [estimate_policy_mle(data.subset(labels == j), *target.probs.shape)
-                    for j in present]
-    kl_weights = compute_kl_weights(target, policies, np.unique(data.s))
-    group_w = np.array([data.weights[labels == j].sum() for j in present])
-    group_w /= group_w.sum()
-    factor = np.zeros(int(present.max()) + 1)
-    factor[present] = kl_weights.weights / group_w
-    return replace(data, weights=data.weights * factor[labels])
+        policies = [estimate_policy_mle(parts[j], *target.probs.shape) for j in present]
+    kl_weights = compute_kl_weights(target, policies, np.unique(data.s[data.weights > 0]))
+    factor = np.zeros(len(parts))
+    factor[present] = kl_weights.weights / (totals[present] / totals[present].sum())
+    return replace(data, weights=data.weights * factor[data.labels])
 
 
 def _assemble_state_method(spec: StateMethod, target, behaviors, data: TransitionDataset,
                            kernel):
     """Assemble phase of one ``STATE_METHODS`` row on labeled data; see
-    :func:`_assemble_method`."""
-    if len(data) == 0:
-        raise ValueError("dataset must be nonempty")
+    :func:`_assemble_method`.  A row with KL weights or per-label groups splits
+    the records by label once (one behavior: the data is its one part), and
+    each group's fit keeps its records.  A label whose records weigh nothing
+    is absent; the records must weigh something in total."""
+    data.total_weight()
+    if spec.kl or spec.grouping != "pooled":
+        parts = ([data] if len(behaviors) == 1
+                 else [data.subset(data.labels == j) for j in range(len(behaviors))])
+        totals = np.array([part.weights.sum() for part in parts])
     if spec.kl:
-        data = _kl_reweighted(spec, data, target, behaviors)
-    num_groups = 1 if spec.grouping == "pooled" else len(behaviors)
-
-    def group(j):
-        # label j's records, or all of them as the one group; the estimate
-        # takes them again, so a cell holds no copy between the phases
-        return data if num_groups == 1 else data.subset(data.labels == j)
-
-    groups = [group(j) for j in range(num_groups)]
-    # (group, denominator its estimate must use, problem) per group with records
-    fits = []
-    for j, sub in enumerate(groups):
-        if len(sub):
-            denom = (behaviors if spec.denominator == "exact"
-                     else estimate_policy_mle(sub, *target.probs.shape))
-            fits.append((j, denom, assemble_bch(sub, target, denom, kernel)))
+        data = _kl_reweighted(spec, data, parts, totals, target, behaviors)
+    groups = [data] if spec.grouping == "pooled" else parts
+    # per group that weighs anything: its denominator, and (label, records, problem)
+    denoms, fits = [None] * len(groups), []
+    for j, part in enumerate(groups):
+        if part.weights.any():
+            denoms[j] = (behaviors if spec.denominator == "exact"
+                         else estimate_policy_mle(part, *target.probs.shape))
+            fits.append((j, part, assemble_bch(part, target, denoms[j], kernel)))
     if spec.grouping == "mis":
-        num_states = target.num_states
-        totals = np.array([sub.weights.sum() for sub in groups])
-        uniform = StateDistribution(np.full(num_states, 1.0 / num_states))
-        dists = [empirical_state_distribution(sub, num_states) if len(sub) else uniform
-                 for sub in groups]
+        uniform = StateDistribution(np.full(target.num_states, 1.0 / target.num_states))
+        dists = [empirical_state_distribution(part, target.num_states) if total > 0 else uniform
+                 for part, total in zip(parts, totals)]
         heur = balanced_heuristic(WeightVector(totals / totals.sum()), dists)
 
     def estimate(solutions):
-        omegas = {j: problem.correction(x) for (j, _, problem), x in zip(fits, solutions)}
-        denoms = {j: denom for j, denom, _ in fits}
-        learned = list(omegas.values())
-        dist = learned[0].implied_distribution() if len(learned) == 1 else None
+        omegas = [None] * len(groups)
+        for (j, _, problem), x in zip(fits, solutions):
+            omegas[j] = problem.correction(x)
+        dist = omegas[fits[0][0]].implied_distribution() if len(fits) == 1 else None
         if spec.grouping == "mis":
-            labels = range(num_groups)
-            return mis_reward_estimate(data, [omegas.get(j) for j in labels],
-                                       [denoms.get(j) for j in labels], target, heur), dist
+            return mis_reward_estimate(data, omegas, denoms, target, heur), dist
         # pooled is the mean over its one group
-        return float(np.mean([ratio_reward_estimate(group(j), omegas[j], target, denoms[j])
-                              for j in omegas])), dist
+        return float(np.mean([ratio_reward_estimate(part, omegas[j], target, denoms[j])
+                              for j, part, _ in fits])), dist
 
     return [problem for *_, problem in fits], estimate
 

@@ -226,6 +226,14 @@ class TransitionDataset:
             raise ValueError(f"labels must index the {num_policies} behavior policies")
         return self.labels
 
+    def total_weight(self) -> float:
+        """The summed weight W that estimates and forms divide by, checked
+        positive and finite."""
+        total = float(self.weights.sum())
+        if not 0 < total < np.inf:
+            raise ValueError("records must have a positive, finite total weight")
+        return total
+
     def subset(self, mask: np.ndarray) -> "TransitionDataset":
         columns = (getattr(self, f.name) for f in fields(self))
         return TransitionDataset(*(None if c is None else c[mask] for c in columns))

@@ -87,7 +87,6 @@ def compute_kl_weights(target: TabularPolicy, behaviors, states) -> WeightVector
 
 def empirical_state_distribution(data: TransitionDataset, num_states: int) -> StateDistribution:
     """Weight-normalized visit frequencies of the dataset's state column."""
-    if len(data) == 0:
-        raise ValueError("dataset must be nonempty")
+    data.total_weight()
     freq = np.bincount(data.s, weights=data.weights, minlength=num_states)
     return StateDistribution(freq / freq.sum())

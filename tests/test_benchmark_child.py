@@ -5,6 +5,7 @@ package looks them up, so a renamed or bypassed name would silently drop
 out of its spans or checks.  These runs read benchmark/ and never edit it.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -19,6 +20,7 @@ from empbench.harness import load_config
 
 REPO = Path(__file__).resolve().parent.parent
 CHILD = REPO / "benchmark" / "child.py"
+SRC = REPO / "src" / "empbench"
 CONFIG = REPO / "tests" / "data" / "benchmark_small.cfg"
 
 
@@ -48,14 +50,42 @@ def test_every_check_passes(tmp_path, flags):
         assert result["layers"]["mdp.sample_steps"] == steps
 
 
-def test_traced_names_resolve():
+def traced_names():
+    """child.py's ``_traced_names`` for this package's modules."""
     spec = importlib.util.spec_from_file_location("benchmark_child", CHILD)
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
-    names = child._traced_names(harness, estimators, corrections, cli)
+    return child._traced_names(harness, estimators, corrections, cli)
+
+
+def unused_imports(path):
+    """The names that the module at ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+def test_traced_names_resolve():
+    names = traced_names()
     names += [(harness, attr, None) for attr in ("_run_cell", "_cell_context",
                                                  "sample_trajectories", "run_method")]
     names.append((corrections, "solve_normalized_quadratic", None))
     missing = [(namespace.__name__, attr) for namespace, attr, _ in names
                if not hasattr(namespace, attr)]
     assert not missing
+
+
+def test_every_import_is_read_or_traced():
+    # a name a module imports only so that child.py can wrap it there is
+    # allowed; any other unread import is dead code
+    wrapped = {(namespace.__name__, attr) for namespace, attr, _ in traced_names()}
+    unused = {(f"empbench.{path.stem}", name) for path in SRC.glob("*.py")
+              if path.stem != "__init__" for name in unused_imports(path)}
+    assert unused <= wrapped, sorted(unused - wrapped)

@@ -5,7 +5,8 @@ import pytest
 
 from empbench import (CorrectionVector, HeuristicTable, KernelSpec, MissingLabel,
                       SampleGroup, SolverParams, StateDistribution, TabularPolicy,
-                      TransitionDataset, WeightVector, average_reward, balanced_heuristic,
+                      TransitionDataset, WeightVector, assemble_state_action_quadratic,
+                      assemble_state_quadratic, average_reward, balanced_heuristic,
                       build_singlepath, learn_emp, mis_reward_estimate, ratio_reward_estimate,
                       run_method,
                       sadl_reward_estimate, sample_trajectories, stationary_distribution,
@@ -335,6 +336,44 @@ class TestStepwiseWis:
         order = np.r_[0:10, 20:40, 10:20]
         with pytest.raises(ValueError, match="contiguous"):
             stepwise_wis_estimate(data.subset(order), target, [behavior])
+
+
+# each call on (data, behavior, target): every one divides by the total
+# weight W or normalizes by it
+WEIGHT_CALLS = {
+    "ratio_reward_estimate": lambda data, b, t: ratio_reward_estimate(data, np.ones(5), t, b),
+    "sadl_reward_estimate": lambda data, b, t: sadl_reward_estimate(
+        data, StateActionCorrection(np.ones((5, 2)), np.full((5, 2), 0.1)), t),
+    "mis_reward_estimate": lambda data, b, t: mis_reward_estimate(
+        data, [np.ones(5)], [b], t, HeuristicTable(np.ones((1, 5)))),
+    "stepwise_wis_estimate": lambda data, b, t: stepwise_wis_estimate(data, t, [b]),
+    "empirical_state_distribution": lambda data, b, t: empirical_state_distribution(data, 5),
+    "assemble_state_quadratic": lambda data, b, t: assemble_state_quadratic(
+        data, t, b, KernelSpec.state_delta(), 5),
+    "assemble_state_action_quadratic": lambda data, b, t: assemble_state_action_quadratic(
+        data, t, np.full(2, 0.5), KernelSpec.state_action_delta(), 5, 2),
+}
+
+
+class TestTotalWeight:
+    @pytest.mark.parametrize("call", sorted(WEIGHT_CALLS))
+    @pytest.mark.parametrize("weights", ["zero", "overflowing"])
+    def test_records_that_weigh_nothing_raise(self, singlepath_setup, call, weights):
+        # these divided by W = 0 (NaN or ZeroDivisionError); a sum that
+        # overflows to inf is no total either
+        mdp, behavior, _, target = singlepath_setup
+        data = TransitionDataset.concatenate(
+            sample_trajectories(mdp, [SampleGroup(behavior, 3, 30)], 20))
+        value = {"zero": 0.0, "overflowing": 1e308}[weights]
+        data = replace(data, weights=np.full(len(data), value))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="positive, finite total weight"):
+            WEIGHT_CALLS[call](data, behavior, target)
+
+    def test_total_weight_is_the_sum_divided_by(self):
+        data = TransitionDataset(s=[0, 1, 0], a=[0, 0, 1], sp=[1, 0, 0], r=[0.0, 1.0, 2.0],
+                                 weights=[0.5, 0.0, 0.25])
+        assert data.total_weight() == 0.75
 
 
 def run_state_method(method, target, behaviors, data):

@@ -345,13 +345,49 @@ def behavior_setup(environment, epsilons=(0.2, 0.4, 0.6)):
 
 
 class TestRunMethod:
-    @pytest.mark.parametrize("method", sorted(STATE_METHODS))
+    @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_empty_data_raises(self, method):
-        _, target, behaviors = behavior_setup("singlepath")
-        empty = TransitionDataset(s=[], a=[], sp=[], r=[], labels=[])
-        with pytest.raises(ValueError):
-            run_method(method, target, behaviors, empty,
-                       KernelSpec.state_delta(), SolverParams())
+        # no records, and records whose weights are all zero, both weigh nothing
+        mdp, target, behaviors = behavior_setup("singlepath")
+        empty = TransitionDataset(s=[], a=[], sp=[], r=[], labels=[], trajectory_ids=[])
+        data = generate_cell_data(mdp, behaviors, 3, 20, 0)
+        for weightless in (empty, replace(data, weights=np.zeros(len(data)))):
+            with pytest.raises(ValueError, match="positive, finite total weight"):
+                run_method(method, target, behaviors, weightless,
+                           KernelSpec.state_delta(), SolverParams(iters=100))
+
+    @settings(max_examples=25, deadline=None)
+    @given(method=st.sampled_from(METHOD_NAMES),
+           environment=st.sampled_from(["singlepath", "gridworld"]),
+           label=st.integers(0, 2), data_seed=st.integers(0, 2**32 - 1))
+    def test_zeroing_a_label_equals_removing_its_records(self, method, environment, label,
+                                                         data_seed):
+        # a label whose records weigh nothing counts as a label without
+        # records; only sums that add the zeros in another order move
+        mdp, target, behaviors = behavior_setup(environment)
+        data = generate_cell_data(mdp, behaviors, 6, 40, data_seed)
+        mine = data.labels == label
+        zeroed = replace(data, weights=np.where(mine, 0.0, data.weights))
+        kernel, solver = KernelSpec.state_delta(), SolverParams(iters=2000)
+        est, dist = run_method(method, target, behaviors, zeroed, kernel, solver)
+        est2, dist2 = run_method(method, target, behaviors, data.subset(~mine), kernel, solver)
+        assert est == pytest.approx(est2, rel=1e-9)
+        assert (dist is None) == (dist2 is None)
+
+    def test_zero_weight_record_adds_no_kl_state(self):
+        # KL weights are fractions of the visited states; a record that
+        # weighs nothing visits none, even at a state no other record visits
+        # (kl-emp: bch-kl-pooled's exact behaviors give the same weights at
+        # every state)
+        mdp, target, behaviors = behavior_setup("gridworld")
+        data = generate_cell_data(mdp, behaviors, 3, 4, 0)
+        state = int(np.setdiff1d(np.arange(mdp.num_states), data.s)[0])
+        extra = TransitionDataset([state], [0], [state], [0.0], [0], [0.0], [0])
+        kernel, solver = KernelSpec.state_delta(), SolverParams(iters=2000)
+        est, _ = run_method("kl-emp", target, behaviors, data, kernel, solver)
+        est2, _ = run_method("kl-emp", target, behaviors,
+                             TransitionDataset.concatenate([data, extra]), kernel, solver)
+        assert est2 == pytest.approx(est, rel=1e-9)
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_one_behavior_reports_tv_for_every_state_method(self, method):
